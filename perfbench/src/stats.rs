@@ -1,0 +1,32 @@
+//! Order statistics over repeated samples.
+
+/// The `q`-quantile of `v` by linear interpolation between closest
+/// ranks (0 for an empty sample).
+pub fn quantile(v: &[f64], q: f64) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (s.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+}
+
+pub fn median(v: &[f64]) -> f64 {
+    quantile(v, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.25), 2.0);
+        assert_eq!(median(&[]), 0.0);
+    }
+}
