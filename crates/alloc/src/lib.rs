@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod block;
 mod composite;
 mod config;
@@ -69,7 +68,6 @@ mod policy;
 pub mod pool;
 mod sim;
 
-pub use arena::{ArenaLease, SharedSimArena};
 pub use block::BlockInfo;
 pub use composite::{CompositeAllocator, PoolId};
 pub use config::{AllocatorConfig, PoolKind, PoolSpec, Route};

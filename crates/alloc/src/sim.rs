@@ -6,11 +6,12 @@
 //! Replay is the hot path of every exploration: each objective the search
 //! strategies optimize comes from a full trace replay, and robust
 //! (scenario-suite) evaluation multiplies replay volume by the suite
-//! size. The kernel therefore runs on a [`CompiledTrace`] — block ids
-//! pre-renamed to dense recycled slots — so per-event bookkeeping is a
-//! flat slab index instead of a hash lookup, and on a reusable
-//! [`SimArena`] so the slab is allocated once per worker, not once per
-//! genome.
+//! size. The one replay kernel, [`Simulator::replay`], therefore runs on
+//! a [`CompiledTrace`] — block ids pre-renamed to dense recycled slots,
+//! access and tick charges hoisted out of the op stream — so per-op
+//! bookkeeping is a flat slab index instead of a hash lookup, and on a
+//! reusable [`SimArena`] so the slab is allocated once per worker, not
+//! once per genome.
 //!
 //! [`Simulator::run_reference`] keeps the original hash-map interpreter
 //! (over the uncompiled [`Trace`]) as a correctness oracle and throughput
@@ -21,7 +22,7 @@
 use std::collections::{HashMap, HashSet};
 
 use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy};
-use dmx_trace::{BlockId, CompiledEvent, CompiledTrace, Trace, TraceEvent};
+use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
 
 use crate::block::BlockInfo;
 use crate::composite::{CompositeAllocator, PoolId};
@@ -225,7 +226,7 @@ type SlabEntry = Option<(BlockInfo, PoolId)>;
 
 /// Reusable per-worker simulation scratch state.
 ///
-/// The only allocation the slab kernel needs that scales with the
+/// The only allocation the replay kernel needs that scales with the
 /// workload is the live-block slab (`max_live_slots` entries). A worker
 /// keeps one arena across all the genomes it evaluates; each run resets
 /// the slab in place instead of reallocating, and the arena counts runs,
@@ -236,8 +237,6 @@ pub struct SimArena {
     runs: u64,
     reuses: u64,
     events: u64,
-    batches: u64,
-    batch_runs: u64,
 }
 
 impl SimArena {
@@ -246,8 +245,7 @@ impl SimArena {
         SimArena::default()
     }
 
-    /// Runs replayed through this arena (each batch lane counts as one
-    /// run).
+    /// Runs replayed through this arena.
     pub fn runs(&self) -> u64 {
         self.runs
     }
@@ -258,33 +256,9 @@ impl SimArena {
         self.reuses
     }
 
-    /// Total events replayed through this arena (batch replays count
-    /// every lane's logical events).
+    /// Total trace events replayed through this arena.
     pub fn events_replayed(&self) -> u64 {
         self.events
-    }
-
-    /// Batch-kernel invocations ([`Simulator::replay_batch`]) through
-    /// this arena.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Genome runs executed inside batch invocations — the amortization
-    /// numerator: `batch_runs / batches` is the mean batch width.
-    pub fn batch_runs(&self) -> u64 {
-        self.batch_runs
-    }
-
-    /// Folds another arena's counters into this one (used when a shared
-    /// arena aggregates the counters of a lease that overflowed the
-    /// pool).
-    pub(crate) fn absorb_counts(&mut self, other: &SimArena) {
-        self.runs += other.runs;
-        self.reuses += other.reuses;
-        self.events += other.events;
-        self.batches += other.batches;
-        self.batch_runs += other.batch_runs;
     }
 
     /// Readies the slab for a run needing `slots` entries, reusing the
@@ -302,36 +276,6 @@ impl SimArena {
         self.runs += 1;
         &mut self.slab[..slots]
     }
-
-    /// Readies the slab for a `k`-lane batch over `slots` slots. The
-    /// layout is slot-major (`slot * k + lane`): one pool op touches its
-    /// `k` lane entries contiguously.
-    fn prepare_batch(&mut self, k: usize, slots: usize) -> &mut [SlabEntry] {
-        let need = k * slots;
-        if self.slab.len() >= need {
-            if self.runs > 0 {
-                self.reuses += 1;
-            }
-            self.slab[..need].fill(None);
-        } else {
-            self.slab.clear();
-            self.slab.resize(need, None);
-        }
-        self.runs += k as u64;
-        self.batches += 1;
-        self.batch_runs += k as u64;
-        &mut self.slab[..need]
-    }
-}
-
-/// Per-genome accumulator state of one batch lane.
-struct BatchLane {
-    ctx: AllocCtx,
-    allocs: u64,
-    frees: u64,
-    failures: u64,
-    live_frag: u64,
-    peak_frag: u64,
 }
 
 /// Scalar tallies a replay hands to [`Simulator::finish`].
@@ -397,8 +341,8 @@ impl<'h> Simulator<'h> {
     ///
     /// Compiles the trace first; callers replaying one workload against
     /// many configurations should compile once and use
-    /// [`Self::run_compiled`] (or [`Self::replay`] with a shared arena)
-    /// instead.
+    /// [`Self::run_compiled`] (or [`Self::run_in_arena`] with a reused
+    /// arena) instead.
     ///
     /// # Errors
     ///
@@ -450,76 +394,72 @@ impl<'h> Simulator<'h> {
         self.replay(allocator, &CompiledTrace::compile(trace), &mut arena)
     }
 
-    /// The slab replay kernel: every event costs a slab index, never a
-    /// hash lookup. Blocks whose allocation failed leave their slot empty,
-    /// so their later frees/accesses fall through exactly as in the
-    /// reference interpreter.
+    /// The replay kernel. It walks only the allocator-op stream
+    /// ([`CompiledTrace::pool_ops`]); every op costs a slab index, never
+    /// a hash lookup. Work that does not depend on allocator state is
+    /// hoisted out of the loop: a block's lifetime application accesses
+    /// ([`CompiledTrace::alloc_reads`] / [`CompiledTrace::alloc_writes`])
+    /// are charged when it is placed, and the trace's compute ticks
+    /// ([`CompiledTrace::total_tick_cycles`]) once per run. Both charges
+    /// are pure additive sums, so the metrics are byte-identical to
+    /// charging every `Access` and `Tick` event in order.
+    ///
+    /// A failed allocation leaves its slot empty and drops its hoisted
+    /// accesses, exactly as the reference interpreter drops accesses to
+    /// and frees of a block that was never placed.
     pub fn replay(
         &self,
         allocator: &mut CompositeAllocator,
         trace: &CompiledTrace,
         arena: &mut SimArena,
     ) -> SimMetrics {
-        let _span = dmx_obs::span(dmx_obs::names::KERNEL_REPLAY, trace.len() as u64);
+        let _span = dmx_obs::span(dmx_obs::names::KERNEL, trace.len() as u64);
         dmx_obs::metrics().kernel_replays.incr();
         dmx_obs::metrics().kernel_events.add(trace.len() as u64);
         let mut ctx = AllocCtx::new(self.hierarchy.len());
         let mut allocs = 0u64;
         let mut frees = 0u64;
         let mut failures = 0u64;
-        let mut tick_cycles = 0u64;
         let mut live_internal_frag = 0u64;
         let mut peak_internal_frag = 0u64;
         let mut contention = self.contention_state(trace.is_threaded(), allocator.pool_count());
+        let sizes = trace.alloc_sizes();
+        let reads = trace.alloc_reads();
+        let writes = trace.alloc_writes();
         let op_tids = trace.op_tids();
-        let mut op_idx = 0usize;
         let slab = arena.prepare(trace.max_live_slots() as usize);
+        let mut ordinal = 0usize;
 
-        for event in trace.iter_events() {
-            match event {
-                CompiledEvent::Alloc { slot, size } => {
-                    match allocator.alloc_traced(size, &mut ctx) {
-                        Ok((info, pool)) => {
-                            allocs += 1;
-                            live_internal_frag += u64::from(info.internal_fragmentation());
-                            peak_internal_frag = peak_internal_frag.max(live_internal_frag);
-                            if let Some(c) = contention.as_mut() {
-                                c.charge(pool, op_tids[op_idx]);
-                            }
-                            debug_assert!(slab[slot as usize].is_none(), "slot already live");
-                            slab[slot as usize] = Some((info, pool));
-                        }
-                        Err(_) => {
-                            // The block never materializes; later events on
-                            // this slot are dropped below — and no pool was
-                            // touched, so no contention is charged.
-                            failures += 1;
-                        }
+        for (op_idx, &op) in trace.pool_ops().iter().enumerate() {
+            let entry = &mut slab[op.slot() as usize];
+            if op.is_free() {
+                if let Some((info, pool)) = entry.take() {
+                    live_internal_frag -= u64::from(info.internal_fragmentation());
+                    allocator.free_traced(info.addr, pool, &mut ctx);
+                    if let Some(c) = contention.as_mut() {
+                        c.charge(pool, op_tids[op_idx]);
                     }
-                    op_idx += 1;
+                    frees += 1;
                 }
-                CompiledEvent::Free { slot } => {
-                    if let Some((info, pool)) = slab[slot as usize].take() {
-                        live_internal_frag -= u64::from(info.internal_fragmentation());
-                        allocator.free_traced(info.addr, pool, &mut ctx);
+            } else {
+                let size = sizes[ordinal];
+                let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
+                ordinal += 1;
+                match allocator.alloc_traced(size, &mut ctx) {
+                    Ok((info, pool)) => {
+                        allocs += 1;
+                        live_internal_frag += u64::from(info.internal_fragmentation());
+                        peak_internal_frag = peak_internal_frag.max(live_internal_frag);
+                        ctx.app_access(info.level, block_reads, block_writes);
                         if let Some(c) = contention.as_mut() {
                             c.charge(pool, op_tids[op_idx]);
                         }
-                        frees += 1;
+                        debug_assert!(entry.is_none(), "slot already live");
+                        *entry = Some((info, pool));
                     }
-                    op_idx += 1;
-                }
-                CompiledEvent::Access {
-                    slot,
-                    reads,
-                    writes,
-                } => {
-                    if let Some((info, _)) = slab[slot as usize] {
-                        ctx.app_access(info.level, u64::from(reads), u64::from(writes));
-                    }
-                }
-                CompiledEvent::Tick { cycles } => {
-                    tick_cycles += u64::from(cycles);
+                    // The block never materializes and no pool was
+                    // touched, so no contention is charged.
+                    Err(_) => failures += 1,
                 }
             }
         }
@@ -531,162 +471,17 @@ impl<'h> Simulator<'h> {
                 allocs,
                 frees,
                 failures,
-                tick_cycles,
+                tick_cycles: trace.total_tick_cycles(),
                 peak_internal_frag,
             },
             contention,
         )
     }
 
-    /// Builds every configuration and replays them as one batch through a
-    /// caller-owned arena (see [`Self::replay_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`] — the first invalid configuration aborts the
-    /// whole batch.
-    pub fn run_batch_in_arena(
-        &self,
-        configs: &[AllocatorConfig],
-        trace: &CompiledTrace,
-        arena: &mut SimArena,
-    ) -> Result<Vec<SimMetrics>, BuildError> {
-        let mut allocators = configs
-            .iter()
-            .map(|c| c.build(self.hierarchy))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.replay_batch(&mut allocators, trace, arena))
-    }
-
-    /// The batch replay kernel: drives `allocators.len()` genomes' pool
-    /// states through **one** sequential pass over the trace's
-    /// allocator-op stream, returning one [`SimMetrics`] per allocator
-    /// (byte-identical to replaying each alone).
-    ///
-    /// Two amortizations make this faster than `k` single replays:
-    ///
-    /// * event decode is shared — the op stream is walked once, and only
-    ///   allocator-visible ops are walked at all: application accesses
-    ///   are charged from per-allocation lifetime totals at placement
-    ///   time and compute ticks from one per-trace total
-    ///   ([`CompiledTrace::alloc_reads`] /
-    ///   [`CompiledTrace::total_tick_cycles`]), which is
-    ///   metric-identical because both are pure additive sums;
-    /// * the live-block slab is slot-major (`slot * k + lane`), so the
-    ///   `k` lane entries an op touches share cache lines.
-    ///
-    /// Failed allocations leave their lane's slot empty exactly as in
-    /// [`Self::replay`], so their hoisted access totals are dropped the
-    /// same way the reference interpreter drops per-event accesses to
-    /// unplaced blocks.
-    pub fn replay_batch(
-        &self,
-        allocators: &mut [CompositeAllocator],
-        trace: &CompiledTrace,
-        arena: &mut SimArena,
-    ) -> Vec<SimMetrics> {
-        let k = allocators.len();
-        assert!(k > 0, "a batch needs at least one allocator");
-        let _span = dmx_obs::span(dmx_obs::names::KERNEL_BATCH, k as u64);
-        dmx_obs::metrics().kernel_batches.incr();
-        dmx_obs::metrics()
-            .kernel_events
-            .add(k as u64 * trace.len() as u64);
-        dmx_obs::metrics().batch_lanes.record(k as u64);
-        let mut lanes: Vec<BatchLane> = (0..k)
-            .map(|_| BatchLane {
-                ctx: AllocCtx::new(self.hierarchy.len()),
-                allocs: 0,
-                frees: 0,
-                failures: 0,
-                live_frag: 0,
-                peak_frag: 0,
-            })
-            .collect();
-        let sizes = trace.alloc_sizes();
-        let reads = trace.alloc_reads();
-        let writes = trace.alloc_writes();
-        let op_tids = trace.op_tids();
-        // Lanes may have different pool counts, so contention windows are
-        // per lane; all share the single-threaded gate of the trace.
-        let threaded = trace.is_threaded();
-        let mut contention: Vec<Option<ContentionState>> = allocators
-            .iter()
-            .map(|a| self.contention_state(threaded, a.pool_count()))
-            .collect();
-        {
-            let slab = arena.prepare_batch(k, trace.max_live_slots() as usize);
-            let mut ordinal = 0usize;
-            for (op_idx, &op) in trace.pool_ops().iter().enumerate() {
-                let base = op.slot() as usize * k;
-                if op.is_free() {
-                    for (j, (lane, allocator)) in
-                        lanes.iter_mut().zip(allocators.iter_mut()).enumerate()
-                    {
-                        if let Some((info, pool)) = slab[base + j].take() {
-                            lane.live_frag -= u64::from(info.internal_fragmentation());
-                            allocator.free_traced(info.addr, pool, &mut lane.ctx);
-                            if let Some(c) = contention[j].as_mut() {
-                                c.charge(pool, op_tids[op_idx]);
-                            }
-                            lane.frees += 1;
-                        }
-                    }
-                } else {
-                    let size = sizes[ordinal];
-                    let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
-                    ordinal += 1;
-                    for (j, (lane, allocator)) in
-                        lanes.iter_mut().zip(allocators.iter_mut()).enumerate()
-                    {
-                        match allocator.alloc_traced(size, &mut lane.ctx) {
-                            Ok((info, pool)) => {
-                                lane.allocs += 1;
-                                lane.live_frag += u64::from(info.internal_fragmentation());
-                                lane.peak_frag = lane.peak_frag.max(lane.live_frag);
-                                // The block's whole-lifetime application
-                                // accesses, charged at placement.
-                                lane.ctx.app_access(info.level, block_reads, block_writes);
-                                if let Some(c) = contention[j].as_mut() {
-                                    c.charge(pool, op_tids[op_idx]);
-                                }
-                                debug_assert!(slab[base + j].is_none(), "slot already live");
-                                slab[base + j] = Some((info, pool));
-                            }
-                            Err(_) => {
-                                lane.failures += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        arena.events += k as u64 * trace.len() as u64;
-
-        let ticks = trace.total_tick_cycles();
-        lanes
-            .into_iter()
-            .zip(contention)
-            .map(|(lane, contention)| {
-                self.finish(
-                    lane.ctx,
-                    OpTallies {
-                        allocs: lane.allocs,
-                        frees: lane.frees,
-                        failures: lane.failures,
-                        tick_cycles: ticks,
-                        peak_internal_frag: lane.peak_frag,
-                    },
-                    contention,
-                )
-            })
-            .collect()
-    }
-
-    /// The original hash-map interpreter over the uncompiled trace, kept
-    /// as the correctness oracle (golden tests and proptests pin it
-    /// byte-identical to [`Self::replay`]) and as the `sim_throughput`
-    /// bench baseline.
+    /// The original hash-map interpreter over the uncompiled trace, event
+    /// by event, kept as the correctness oracle (golden tests and
+    /// proptests pin it byte-identical to [`Self::replay`]) and as the
+    /// `sim_throughput` bench baseline.
     ///
     /// # Errors
     ///
@@ -772,7 +567,7 @@ impl<'h> Simulator<'h> {
     }
 
     /// Folds the accounting context into the final metrics (shared by
-    /// both kernels and the reference interpreter). `contention` is
+    /// the kernel and the reference interpreter). `contention` is
     /// `None` for single-threaded replays, which therefore report zero
     /// stalls/tail-latency and the exact pre-threading cycle count.
     fn finish(
@@ -971,10 +766,11 @@ mod tests {
     #[test]
     fn kernel_matches_reference_on_infeasible_configs() {
         // Failed allocations leave their slot empty; later frees/accesses
-        // on that block must be dropped in both interpreters.
+        // on that block must be dropped in both interpreters, and a
+        // failing run must not leak into the next run on the same arena.
         let hier = presets::sp64k_dram4m();
         let sim = Simulator::new(&hier);
-        let cfg = AllocatorConfig::general_only(
+        let tight = AllocatorConfig::general_only(
             hier.fastest(),
             FitPolicy::FirstFit,
             FreeOrder::Lifo,
@@ -982,10 +778,19 @@ mod tests {
             SplitPolicy::Never,
         );
         let trace = VtcConfig::small().generate(4);
-        let reference = sim.run_reference(&cfg, &trace).unwrap();
-        let compiled = sim.run(&cfg, &trace).unwrap();
-        assert!(!reference.feasible(), "fixture must exercise failures");
-        assert_eq!(reference, compiled);
+        let compiled = CompiledTrace::compile(&trace);
+        let mut arena = SimArena::new();
+        for (cfg, feasible) in [(tight, false), (baseline(&hier), true)] {
+            let reference = sim.run_reference(&cfg, &trace).unwrap();
+            let kernel = sim.run_in_arena(&cfg, &compiled, &mut arena).unwrap();
+            assert_eq!(
+                reference.feasible(),
+                feasible,
+                "fixture for {}",
+                cfg.label()
+            );
+            assert_eq!(reference, kernel, "kernel diverges on {}", cfg.label());
+        }
     }
 
     #[test]
@@ -1011,11 +816,14 @@ mod tests {
 
     #[test]
     fn batch_replay_matches_singles_byte_for_byte() {
+        // An evaluation worker replays a batch of different configurations
+        // back to back through its one arena; each result must equal a
+        // fresh single run and the reference interpreter.
         let hier = presets::sp64k_dram4m();
         let sim = Simulator::new(&hier);
         let trace = EasyportConfig::small().generate(9);
         let compiled = CompiledTrace::compile(&trace);
-        let configs = vec![
+        let configs = [
             baseline(&hier),
             AllocatorConfig::paper_example(&hier),
             AllocatorConfig::general_only(
@@ -1027,24 +835,26 @@ mod tests {
             ),
         ];
         let mut arena = SimArena::new();
-        let batch = sim
-            .run_batch_in_arena(&configs, &compiled, &mut arena)
-            .unwrap();
+        let batch: Vec<SimMetrics> = configs
+            .iter()
+            .map(|cfg| sim.run_in_arena(cfg, &compiled, &mut arena).unwrap())
+            .collect();
         assert_eq!(batch.len(), configs.len());
         for (cfg, got) in configs.iter().zip(&batch) {
             let single = sim.run_reference(cfg, &trace).unwrap();
-            assert_eq!(*got, single, "batch lane diverges on {}", cfg.label());
+            assert_eq!(*got, single, "batch run diverges on {}", cfg.label());
+            assert_eq!(*got, sim.run_compiled(cfg, &compiled).unwrap());
         }
-        assert_eq!(arena.batches(), 1);
-        assert_eq!(arena.batch_runs(), 3);
-        assert_eq!(arena.runs(), 3, "each lane counts as a run");
+        assert_eq!(arena.runs(), 3, "each configuration counts as a run");
+        assert_eq!(arena.reuses(), 2);
         assert_eq!(arena.events_replayed(), 3 * compiled.len() as u64);
     }
 
     #[test]
     fn batch_replay_handles_failing_lanes() {
-        // One lane is infeasible (everything forced onto the scratchpad);
-        // its failures must not leak into the other lanes' metrics.
+        // The middle configuration is infeasible (everything forced onto
+        // the scratchpad); its failures must not leak into the feasible
+        // runs before and after it on the same arena.
         let hier = presets::sp64k_dram4m();
         let sim = Simulator::new(&hier);
         let trace = VtcConfig::small().generate(4);
@@ -1056,34 +866,41 @@ mod tests {
             CoalescePolicy::Never,
             SplitPolicy::Never,
         );
-        let configs = vec![tight.clone(), baseline(&hier)];
+        let configs = [baseline(&hier), tight.clone(), baseline(&hier)];
         let mut arena = SimArena::new();
-        let batch = sim
-            .run_batch_in_arena(&configs, &compiled, &mut arena)
-            .unwrap();
-        assert!(!batch[0].feasible(), "fixture must exercise failures");
-        assert_eq!(batch[0], sim.run_reference(&tight, &trace).unwrap());
-        assert_eq!(
-            batch[1],
-            sim.run_reference(&baseline(&hier), &trace).unwrap()
-        );
+        let batch: Vec<SimMetrics> = configs
+            .iter()
+            .map(|cfg| sim.run_in_arena(cfg, &compiled, &mut arena).unwrap())
+            .collect();
+        assert!(!batch[1].feasible(), "fixture must exercise failures");
+        assert_eq!(batch[1], sim.run_reference(&tight, &trace).unwrap());
+        let feasible = sim.run_reference(&baseline(&hier), &trace).unwrap();
+        assert!(feasible.feasible());
+        assert_eq!(batch[0], feasible);
+        assert_eq!(batch[2], feasible);
     }
 
     #[test]
     fn batch_of_one_matches_single_kernel_and_reuses_arena() {
+        // A one-configuration batch through a worker arena, interleaved
+        // with the other entry points, matches them all and still counts
+        // every arena run after the first as a reuse.
         let hier = presets::sp64k_dram4m();
         let sim = Simulator::new(&hier);
-        let compiled = CompiledTrace::compile(&EasyportConfig::small().generate(2));
-        let cfg = vec![AllocatorConfig::paper_example(&hier)];
+        let trace = EasyportConfig::small().generate(2);
+        let compiled = CompiledTrace::compile(&trace);
+        let cfg = AllocatorConfig::paper_example(&hier);
         let mut arena = SimArena::new();
-        let a = sim.run_batch_in_arena(&cfg, &compiled, &mut arena).unwrap();
-        let b = sim.run_in_arena(&cfg[0], &compiled, &mut arena).unwrap();
-        let c = sim.run_batch_in_arena(&cfg, &compiled, &mut arena).unwrap();
-        assert_eq!(a[0], b);
-        assert_eq!(c[0], b, "slab reuse must not leak state across modes");
+        let a = sim.run_in_arena(&cfg, &compiled, &mut arena).unwrap();
+        let b = sim.run(&cfg, &trace).unwrap();
+        let mut allocator = cfg.build(&hier).unwrap();
+        let c = sim.replay(&mut allocator, &compiled, &mut arena);
+        let d = sim.run_in_arena(&cfg, &compiled, &mut arena).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(c, b, "slab reuse must not leak state across entry points");
+        assert_eq!(d, b);
         assert_eq!(arena.runs(), 3);
         assert_eq!(arena.reuses(), 2);
-        assert_eq!(arena.batches(), 2);
     }
 
     /// A producer/consumer trace: even blocks are allocated on t1 and
@@ -1168,21 +985,11 @@ mod tests {
         let trace = cross_thread_trace();
         let compiled = CompiledTrace::compile(&trace);
         assert!(compiled.is_threaded());
-        let configs = vec![baseline(&hier), AllocatorConfig::paper_example(&hier)];
         let mut arena = SimArena::new();
-        let batch = sim
-            .run_batch_in_arena(&configs, &compiled, &mut arena)
-            .unwrap();
-        for (cfg, from_batch) in configs.iter().zip(&batch) {
-            let reference = sim.run_reference(cfg, &trace).unwrap();
-            let slab = sim.run_compiled(cfg, &compiled).unwrap();
-            assert_eq!(reference, slab, "slab kernel diverges on {}", cfg.label());
-            assert_eq!(
-                reference,
-                *from_batch,
-                "batch kernel diverges on {}",
-                cfg.label()
-            );
+        for cfg in [baseline(&hier), AllocatorConfig::paper_example(&hier)] {
+            let reference = sim.run_reference(&cfg, &trace).unwrap();
+            let kernel = sim.run_in_arena(&cfg, &compiled, &mut arena).unwrap();
+            assert_eq!(reference, kernel, "kernel diverges on {}", cfg.label());
             assert!(reference.contention_stalls > 0);
         }
     }

@@ -297,9 +297,10 @@ proptest! {
         }
     }
 
-    /// The batch kernel agrees with the reference interpreter lane by
-    /// lane at every batch width — including the degenerate K = 1 batch
-    /// and lanes that repeat the same configuration.
+    /// A batch of configurations replayed back to back through one arena
+    /// agrees with the reference interpreter run by run at every batch
+    /// width — including the degenerate one-run batch and batches that
+    /// repeat the same configuration.
     #[test]
     fn batch_kernel_matches_reference_interpreter(ops in arb_ops(2500, 200)) {
         let hier = presets::sp64k_dram4m();
@@ -312,82 +313,29 @@ proptest! {
             let lanes: Vec<AllocatorConfig> = (0..k)
                 .map(|i| configs[i % configs.len()].clone())
                 .collect();
-            let batch = sim.run_batch_in_arena(&lanes, &compiled, &mut arena).unwrap();
+            let batch: Vec<_> = lanes
+                .iter()
+                .map(|c| sim.run_in_arena(c, &compiled, &mut arena).unwrap())
+                .collect();
             prop_assert_eq!(batch.len(), k);
             for (config, got) in lanes.iter().zip(&batch) {
                 let reference = sim.run_reference(config, &trace).unwrap();
                 prop_assert_eq!(
                     &reference,
                     got,
-                    "batch lane diverges at K={} for {}",
+                    "batch run diverges at K={} for {}",
                     k,
                     config.label()
                 );
             }
         }
+        prop_assert_eq!(arena.runs(), 1 + 2 + 5);
     }
 
-    /// One lock-free [`SharedSimArena`] serving concurrent replay
-    /// threads: every thread's metrics must equal the single-threaded
-    /// reference, whatever the lease interleaving, and the pool must
-    /// hand each lease a private arena (no cross-thread state bleed).
-    #[test]
-    fn shared_arena_concurrent_replay_matches_reference(ops in arb_ops(1500, 120)) {
-        let hier = presets::sp64k_dram4m();
-        let sim = Simulator::new(&hier);
-        let trace = trace_from_ops(&ops);
-        let compiled = CompiledTrace::compile(&trace);
-        let configs = kernel_configs(&hier);
-        let expected: Vec<_> = configs
-            .iter()
-            .map(|c| sim.run_reference(c, &trace).unwrap())
-            .collect();
-
-        // More threads than pooled blocks: the overflow path (fresh
-        // unpooled arenas) is exercised alongside pooled reuse.
-        let shared = dmx_alloc::SharedSimArena::with_blocks(2);
-        let threads = 8;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (sim, shared) = (&sim, &shared);
-                    let (configs, compiled) = (&configs, &compiled);
-                    scope.spawn(move || {
-                        let mut lease = shared.checkout();
-                        let mut out = Vec::new();
-                        // Stagger the config order per thread so leases
-                        // are returned and re-leased mid-stream.
-                        for i in 0..configs.len() {
-                            let config = &configs[(i + t) % configs.len()];
-                            out.push((
-                                (i + t) % configs.len(),
-                                sim.run_in_arena(config, compiled, &mut lease).unwrap(),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, got) in handle.join().expect("replay thread") {
-                    assert_eq!(
-                        &expected[i], &got,
-                        "concurrent replay diverges for {}",
-                        configs[i].label()
-                    );
-                }
-            }
-        });
-        // Every lease was returned: aggregate counters are consistent
-        // and account for all replays (threads × configs).
-        let totals = shared.stats();
-        prop_assert_eq!(totals.runs(), (threads * configs.len()) as u64);
-    }
-
-    /// Threaded traces with cross-thread frees: the slab kernel, the
-    /// batch kernel and the reference interpreter agree byte-for-byte —
-    /// including the contention-stall and tail-latency charges, which
-    /// all three paths must derive from the same per-pool op windows.
+    /// Threaded traces with cross-thread frees: the slab kernel and the
+    /// reference interpreter agree byte-for-byte — including the
+    /// contention-stall and tail-latency charges, which both paths must
+    /// derive from the same per-pool op windows.
     #[test]
     fn kernels_match_reference_on_threaded_traces(
         ops in arb_ops(2500, 150),
@@ -408,17 +356,6 @@ proptest! {
                 tids,
                 config.label()
             );
-            let lanes = [config.clone(), config.clone()];
-            let batch = sim.run_batch_in_arena(&lanes, &compiled, &mut arena).unwrap();
-            for got in &batch {
-                prop_assert_eq!(
-                    &reference,
-                    got,
-                    "batch kernel diverges on a {}-thread trace for {}",
-                    tids,
-                    config.label()
-                );
-            }
         }
     }
 

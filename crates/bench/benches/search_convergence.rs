@@ -61,7 +61,9 @@ fn bench_search_convergence(c: &mut Criterion) {
     .generate(42);
     let explorer = Explorer::new(&hierarchy);
 
-    let exhaustive = explorer.run(&space, &trace);
+    let exhaustive = explorer
+        .run(&space, &trace)
+        .expect("enumerated spaces produce valid configurations");
     let full = front_2d(&exhaustive.pareto(&Objective::FIG1).points);
 
     println!(

@@ -91,9 +91,15 @@ fn bench_ablation(c: &mut Criterion) {
         "{:<30} {:>8} {:>11} {:>11} {:>11} {:>11}",
         "space variant", "configs", "footprint+%", "accesses+%", "energy+%", "time+%"
     );
-    let full_best = best(&explorer.run(&full_space, &trace));
+    let full_best = best(
+        &explorer
+            .run(&full_space, &trace)
+            .expect("enumerated spaces produce valid configurations"),
+    );
     for (name, space) in &variants {
-        let exploration = explorer.run(space, &trace);
+        let exploration = explorer
+            .run(space, &trace)
+            .expect("enumerated spaces produce valid configurations");
         let (fp, ac, en, cy) = best(&exploration);
         println!(
             "{:<30} {:>8} {:>11.1} {:>11.1} {:>11.1} {:>11.1}",
@@ -109,7 +115,9 @@ fn bench_ablation(c: &mut Criterion) {
 
     // Subsampling fidelity: how much of the full Pareto front's
     // hypervolume does a uniform 25% / 50% sample recover?
-    let full = explorer.run(&full_space, &trace);
+    let full = explorer
+        .run(&full_space, &trace)
+        .expect("enumerated spaces produce valid configurations");
     let full_front: Vec<(u64, u64)> = full
         .pareto(&dmx_core::Objective::FIG1)
         .points
@@ -120,10 +128,12 @@ fn bench_ablation(c: &mut Criterion) {
     println!("{:<18} {:>8} {:>16}", "sample", "configs", "front volume %");
     for frac in [4usize, 2] {
         let n = full_space.len() / frac;
-        let sampled = explorer.run_configs(
-            dmx_core::sample_configs(&full_space, &hierarchy, n, 99),
-            &trace,
-        );
+        let sampled = explorer
+            .run_configs(
+                dmx_core::sample_configs(&full_space, &hierarchy, n, 99),
+                &trace,
+            )
+            .expect("sampled space configurations are valid");
         let front: Vec<(u64, u64)> = sampled
             .pareto(&dmx_core::Objective::FIG1)
             .points

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Validate every benchmark record against its checked-in perf floor.
 
-The throughput benches (`sim_throughput`, `island_scaling`,
-`batch_replay`, ...) write machine-readable records to
-``BENCH_<name>.json`` at the workspace root. This script pairs each
-record with its floor file in ``crates/bench/floors/<name>.json`` and
-enforces the floor — one place, one schema, runnable locally exactly as
-CI runs it:
+The throughput benches (`sim_throughput`, `island_scaling`, ...) write
+machine-readable records to ``BENCH_<name>.json`` at the workspace
+root. This script pairs each record with its floor file in
+``crates/bench/floors/<name>.json`` and enforces the floor — one place,
+one schema, runnable locally exactly as CI runs it:
 
     cargo bench --workspace -- --test   # writes the BENCH_*.json records
     python3 crates/bench/validate_floors.py

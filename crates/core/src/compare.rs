@@ -141,22 +141,26 @@ mod tests {
         let hier = presets::sp64k_dram4m();
         let space = easyport_space(&hier, StudyScale::Quick);
         let explorer = Explorer::new(&hier);
-        let a = explorer.run(
-            &space,
-            &EasyportConfig {
-                packets: 400,
-                ..EasyportConfig::paper()
-            }
-            .generate(1),
-        );
-        let b = explorer.run(
-            &space,
-            &EasyportConfig {
-                packets: 800,
-                ..EasyportConfig::paper()
-            }
-            .generate(1),
-        );
+        let a = explorer
+            .run(
+                &space,
+                &EasyportConfig {
+                    packets: 400,
+                    ..EasyportConfig::paper()
+                }
+                .generate(1),
+            )
+            .unwrap();
+        let b = explorer
+            .run(
+                &space,
+                &EasyportConfig {
+                    packets: 800,
+                    ..EasyportConfig::paper()
+                }
+                .generate(1),
+            )
+            .unwrap();
         (a, b)
     }
 

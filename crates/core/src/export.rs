@@ -445,7 +445,10 @@ mod tests {
             general_levels: vec![hier.slowest().into()],
             general_chunks: vec![8192],
         };
-        Explorer::new(&hier).with_threads(1).run(&space, &trace)
+        Explorer::new(&hier)
+            .with_threads(1)
+            .run(&space, &trace)
+            .unwrap()
     }
 
     #[test]

@@ -45,9 +45,10 @@
 //! space.fits.truncate(1);
 //! space.orders.truncate(1);
 //!
-//! let exploration = Explorer::new(&hier).run(&space, &trace);
+//! let exploration = Explorer::new(&hier).run(&space, &trace)?;
 //! let pareto = exploration.pareto(&[Objective::Footprint, Objective::Accesses]);
 //! assert!(!pareto.indices.is_empty());
+//! # Ok::<(), dmx_alloc::BuildError>(())
 //! ```
 
 #![forbid(unsafe_code)]

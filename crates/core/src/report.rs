@@ -228,7 +228,7 @@ mod tests {
             general_levels: vec![hier.slowest().into()],
             general_chunks: vec![8192],
         };
-        Explorer::new(&hier).run(&space, &trace)
+        Explorer::new(&hier).run(&space, &trace).unwrap()
     }
 
     #[test]

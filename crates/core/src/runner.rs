@@ -1,10 +1,7 @@
 //! Parallel exploration driver: simulate every configuration of a space
 //! against one workload trace.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use dmx_alloc::{AllocatorConfig, SimArena, SimMetrics, Simulator};
+use dmx_alloc::{AllocatorConfig, BuildError, SimArena, SimMetrics, Simulator};
 use dmx_memhier::MemoryHierarchy;
 use dmx_profile::ProfileRecord;
 use dmx_trace::{CompiledTrace, Trace};
@@ -12,7 +9,9 @@ use dmx_trace::{CompiledTrace, Trace};
 use crate::objective::Objective;
 use crate::param::ParamSpace;
 use crate::pareto::{pareto_front, ParetoSet};
-use crate::search::{EvalInstance, FidelityPlan, SearchContext, SearchOutcome, SearchStrategy};
+use crate::search::{
+    fan_out, EvalInstance, FidelityPlan, SearchContext, SearchOutcome, SearchStrategy,
+};
 use crate::space::GenomeSpace;
 
 /// One explored configuration with its measured metrics.
@@ -151,7 +150,11 @@ impl<'h> Explorer<'h> {
 
     /// Enumerates `space` and simulates every configuration against
     /// `trace`.
-    pub fn run(&self, space: &ParamSpace, trace: &Trace) -> Exploration {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_configs`].
+    pub fn run(&self, space: &ParamSpace, trace: &Trace) -> Result<Exploration, BuildError> {
         let configs: Vec<AllocatorConfig> = space.iter_configs(self.hierarchy).collect();
         self.run_configs(configs, trace)
     }
@@ -184,58 +187,38 @@ impl<'h> Explorer<'h> {
     /// Simulates an explicit list of configurations against `trace`.
     ///
     /// Results keep the input order. Configurations are simulated in
-    /// parallel; the simulation itself is deterministic, so the outcome is
+    /// parallel through the same worker fan-out as the search evaluator;
+    /// the simulation itself is deterministic, so the outcome is
     /// identical to a sequential run.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any configuration fails validation — enumerated spaces
-    /// always produce valid configurations, and hand-built lists should be
-    /// validated by the caller first.
-    pub fn run_configs(&self, configs: Vec<AllocatorConfig>, trace: &Trace) -> Exploration {
-        let n = configs.len();
-        let results: Mutex<Vec<Option<RunResult>>> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
+    /// Returns the [`BuildError`] of the first configuration (in input
+    /// order) that fails to build. Enumerated spaces always produce
+    /// valid configurations; hand-built lists may not.
+    pub fn run_configs(
+        &self,
+        configs: Vec<AllocatorConfig>,
+        trace: &Trace,
+    ) -> Result<Exploration, BuildError> {
         let sim = Simulator::new(self.hierarchy);
         // Compile once; every worker replays the same lowered stream
         // through its own reusable arena.
         let compiled = CompiledTrace::compile(trace);
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n.max(1)) {
-                scope.spawn(|| {
-                    let mut arena = SimArena::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let config = configs[i].clone();
-                        let metrics = sim
-                            .run_in_arena(&config, &compiled, &mut arena)
-                            .expect("explored configurations must be valid");
-                        let label = config.label();
-                        let result = RunResult {
-                            config,
-                            label,
-                            metrics,
-                        };
-                        results.lock().expect("no poisoned workers")[i] = Some(result);
-                    }
-                });
-            }
+        let mut arenas: Vec<SimArena> = (0..self.threads).map(|_| SimArena::new()).collect();
+        let results = fan_out(&mut arenas, configs.len(), |i, arena| {
+            let config = &configs[i];
+            let metrics = sim.run_in_arena(config, &compiled, arena)?;
+            Ok(RunResult {
+                config: config.clone(),
+                label: config.label(),
+                metrics,
+            })
         });
-
-        let results = results
-            .into_inner()
-            .expect("workers finished")
-            .into_iter()
-            .map(|r| r.expect("every index was simulated"))
-            .collect();
-        Exploration {
+        Ok(Exploration {
             workload: trace.name().to_owned(),
-            results,
-        }
+            results: results.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -272,7 +255,7 @@ mod tests {
         }
         .generate(1);
         let space = small_space(&hier);
-        let exp = Explorer::new(&hier).run(&space, &trace);
+        let exp = Explorer::new(&hier).run(&space, &trace).unwrap();
         assert_eq!(exp.results.len(), space.len());
         assert_eq!(exp.workload, "easyport");
         // Labels unique.
@@ -291,8 +274,14 @@ mod tests {
         }
         .generate(2);
         let space = small_space(&hier);
-        let seq = Explorer::new(&hier).with_threads(1).run(&space, &trace);
-        let par = Explorer::new(&hier).with_threads(4).run(&space, &trace);
+        let seq = Explorer::new(&hier)
+            .with_threads(1)
+            .run(&space, &trace)
+            .unwrap();
+        let par = Explorer::new(&hier)
+            .with_threads(4)
+            .run(&space, &trace)
+            .unwrap();
         for (a, b) in seq.results.iter().zip(&par.results) {
             assert_eq!(a.label, b.label);
             assert_eq!(a.metrics, b.metrics);
@@ -307,7 +296,9 @@ mod tests {
             ..EasyportConfig::paper()
         }
         .generate(3);
-        let exp = Explorer::new(&hier).run(&small_space(&hier), &trace);
+        let exp = Explorer::new(&hier)
+            .run(&small_space(&hier), &trace)
+            .unwrap();
         let front = exp.pareto(&Objective::FIG1);
         assert!(!front.is_empty());
         for &i in &front.indices {
@@ -336,11 +327,26 @@ mod tests {
         let mut space = small_space(&hier);
         space.dedicated_size_sets.truncate(1);
         space.placements.truncate(1);
-        let exp = Explorer::new(&hier).run(&space, &trace);
+        let exp = Explorer::new(&hier).run(&space, &trace).unwrap();
         let records = exp.to_records();
         let text = dmx_profile::records_to_string(&records);
         let back = dmx_profile::parse_records(&text).unwrap();
         assert_eq!(back, records);
+    }
+
+    #[test]
+    fn invalid_config_is_a_build_error() {
+        let hier = presets::sp64k_dram4m();
+        let trace = dmx_trace::gen::ramp(4, 16);
+        let valid = AllocatorConfig::paper_example(&hier);
+        let invalid = AllocatorConfig { pools: vec![] };
+        for threads in [1, 4] {
+            let explorer = Explorer::new(&hier).with_threads(threads);
+            assert!(explorer
+                .run_configs(vec![valid.clone(), invalid.clone()], &trace)
+                .is_err());
+            assert!(explorer.run_configs(vec![valid.clone()], &trace).is_ok());
+        }
     }
 
     #[test]

@@ -286,8 +286,10 @@ mod tests {
         let trace = easyport_trace(StudyScale::Quick, 42);
         let explorer = Explorer::new(&hier);
 
-        let full = explorer.run(&space, &trace);
-        let half = explorer.run_configs(sample_configs(&space, &hier, space.len() / 2, 9), &trace);
+        let full = explorer.run(&space, &trace).unwrap();
+        let half = explorer
+            .run_configs(sample_configs(&space, &hier, space.len() / 2, 9), &trace)
+            .unwrap();
 
         let points = |e: &crate::runner::Exploration| -> Vec<(u64, u64)> {
             e.pareto(&Objective::FIG1)

@@ -34,21 +34,19 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dmx_alloc::{SharedSimArena, Simulator};
+use dmx_memhier::MemoryHierarchy;
 use dmx_trace::CompiledTrace;
 
 use crate::objective::Objective;
 use crate::param::Genome;
 use crate::runner::RunResult;
-use crate::scenario::{aggregate_metrics, Aggregate, ScenarioMetrics};
+use crate::scenario::Aggregate;
 use crate::space::GenomeSpace;
 
 use super::cache::EvalCache;
-use super::queue::StealQueue;
-use super::{EvalInstance, SearchContext, BATCH_K};
+use super::{fold_instances, EvalInstance, SearchContext, Workers};
 
 /// Which surrogate model pre-ranks candidates on the lowest rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,7 +333,6 @@ pub struct MultiFidelityEvaluator<'a> {
     instances: &'a [EvalInstance<'a>],
     aggregate: Option<Aggregate>,
     objectives: &'a [Objective],
-    threads: usize,
     /// `rungs[r]` holds one [`PrefixInstance`] per context instance,
     /// cut to screening fraction `r`.
     rungs: Vec<Vec<PrefixInstance>>,
@@ -397,7 +394,6 @@ impl<'a> MultiFidelityEvaluator<'a> {
             instances: ctx.instances,
             aggregate: ctx.aggregate,
             objectives: ctx.objectives,
-            threads: ctx.threads.max(1),
             rungs,
             screen_cache: EvalCache::new(),
             surrogate,
@@ -441,8 +437,7 @@ impl<'a> MultiFidelityEvaluator<'a> {
     pub(super) fn screen(
         &self,
         fresh: Vec<Genome>,
-        arena: &SharedSimArena,
-        sim_nanos: &AtomicU64,
+        workers: &Workers,
     ) -> (Vec<Genome>, HashMap<Genome, Arc<RunResult>>) {
         let mut candidates = fresh;
         let mut stand_ins: HashMap<Genome, Arc<RunResult>> = HashMap::new();
@@ -495,7 +490,7 @@ impl<'a> MultiFidelityEvaluator<'a> {
                     (values, None)
                 }
                 None => {
-                    let results = self.replay_rung(rung_instances, &candidates, arena, sim_nanos);
+                    let results = self.replay_rung(rung_instances, &candidates, workers);
                     let values = objective_values(&results, self.objectives);
                     (values, Some(results))
                 }
@@ -556,16 +551,15 @@ impl<'a> MultiFidelityEvaluator<'a> {
     }
 
     /// Replays one screening rung for `candidates`: every candidate on
-    /// every prefix instance, memoized in the screening cache, with the
-    /// same chunked worker/steal pattern as the full evaluator; folds
-    /// per-instance prefix metrics through the aggregate in robust mode.
-    /// Returns one result per candidate, in candidate order.
+    /// every prefix instance, memoized in the screening cache, through
+    /// the evaluator's worker fan-out; folds per-instance prefix metrics
+    /// through the aggregate in robust mode. Returns one result per
+    /// candidate, in candidate order.
     fn replay_rung(
         &self,
         rung: &[PrefixInstance],
         candidates: &[Genome],
-        arena: &SharedSimArena,
-        sim_nanos: &AtomicU64,
+        workers: &Workers,
     ) -> Vec<Arc<RunResult>> {
         for pi in rung {
             dmx_obs::metrics()
@@ -580,63 +574,18 @@ impl<'a> MultiFidelityEvaluator<'a> {
             })
             .cloned()
             .collect();
-        let todo_len = todo.len();
-        let jobs: Vec<(usize, std::ops::Range<usize>)> = (0..rung.len())
-            .flat_map(|k| {
-                (0..todo_len)
-                    .step_by(BATCH_K)
-                    .map(move |lo| (k, lo..(lo + BATCH_K).min(todo_len)))
-            })
+        let workloads: Vec<(&MemoryHierarchy, &CompiledTrace)> = rung
+            .iter()
+            .zip(self.instances)
+            .map(|(pi, inst)| (inst.hierarchy, &*pi.trace))
             .collect();
-        if !jobs.is_empty() {
-            let sims: Vec<Simulator> = self
-                .instances
-                .iter()
-                .map(|inst| Simulator::new(inst.hierarchy))
-                .collect();
-            let workers = self.threads.min(jobs.len());
-            let queue = StealQueue::new(jobs.len(), workers);
-            let start = std::time::Instant::now();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queue = &queue;
-                    let jobs = &jobs;
-                    let sims = &sims;
-                    let todo = &todo;
-                    scope.spawn(move || {
-                        let mut lease = arena.checkout();
-                        while let Some(j) = queue.pop(w) {
-                            let (k, range) = &jobs[j];
-                            let pi = &rung[*k];
-                            let inst = &self.instances[*k];
-                            let genomes = &todo[range.clone()];
-                            let configs: Vec<_> = genomes
-                                .iter()
-                                .map(|g| self.space.config_at(inst.hierarchy, g))
-                                .collect();
-                            let batch = sims[*k]
-                                .run_batch_in_arena(&configs, &pi.trace, &mut lease)
-                                .expect("space genomes materialize to valid configurations");
-                            for ((genome, config), metrics) in
-                                genomes.iter().zip(configs).zip(batch)
-                            {
-                                let label = config.label();
-                                self.screen_cache.insert(
-                                    self.space_id,
-                                    pi.id,
-                                    genome.clone(),
-                                    Arc::new(RunResult {
-                                        config,
-                                        label,
-                                        metrics,
-                                    }),
-                                );
-                            }
-                        }
-                    });
-                }
-            });
-            sim_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let results = workers.simulate(self.space, &workloads, &todo);
+        let keys = rung
+            .iter()
+            .flat_map(|pi| todo.iter().map(move |g| (pi.id, g)));
+        for ((id, genome), result) in keys.zip(results) {
+            self.screen_cache
+                .insert(self.space_id, id, genome.clone(), Arc::new(result));
         }
 
         candidates
@@ -652,23 +601,7 @@ impl<'a> MultiFidelityEvaluator<'a> {
                     .collect();
                 match self.aggregate {
                     None => parts.into_iter().next().expect("one instance"),
-                    Some(aggregate) => {
-                        let folded: Vec<ScenarioMetrics<'_>> = self
-                            .instances
-                            .iter()
-                            .zip(&parts)
-                            .map(|(inst, r)| ScenarioMetrics {
-                                metrics: &r.metrics,
-                                weight: inst.weight,
-                                admissible: inst.constraints.is_none_or(|c| c.accepts(&r.metrics)),
-                            })
-                            .collect();
-                        Arc::new(RunResult {
-                            config: parts[0].config.clone(),
-                            label: parts[0].label.clone(),
-                            metrics: aggregate_metrics(aggregate, &folded),
-                        })
-                    }
+                    Some(aggregate) => fold_instances(self.instances, aggregate, &parts),
                 }
             })
             .collect()

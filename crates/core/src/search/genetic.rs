@@ -390,7 +390,7 @@ mod tests {
         let trace = easyport_trace(StudyScale::Quick, 42);
         let explorer = Explorer::new(&hier);
 
-        let exhaustive = explorer.run(&space, &trace);
+        let exhaustive = explorer.run(&space, &trace).unwrap();
         let full_front = exhaustive.pareto(&Objective::FIG1);
 
         let ga = GeneticSearch {

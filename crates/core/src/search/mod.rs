@@ -20,7 +20,7 @@
 //! evaluations go through a shared, sharded [`EvalCache`] keyed on
 //! (space id, workload id, genome), so revisits — the common case in GA
 //! populations — cost a hash lookup instead of a simulation, and each
-//! batch evaluates in parallel with the same worker pattern as the
+//! batch evaluates in parallel through the same worker fan-out as the
 //! exhaustive runner.
 //!
 //! A [`SearchContext`] carries one *or several* [`EvalInstance`]s.
@@ -78,14 +78,14 @@ pub use genetic::GeneticSearch;
 pub use hillclimb::HillClimbSearch;
 pub use island::{IslandKind, IslandSearch, IslandStats, Migration};
 
-use queue::StealQueue;
+pub(crate) use queue::fan_out;
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dmx_alloc::{SharedSimArena, Simulator};
+use dmx_alloc::{SimArena, Simulator};
 use dmx_memhier::MemoryHierarchy;
 use dmx_trace::{CompiledTrace, Trace};
 
@@ -282,19 +282,19 @@ impl<'a> EvalInstance<'a> {
 pub struct SimStats {
     /// Trace events replayed across all simulator runs.
     pub events: u64,
-    /// Simulator runs (one per genome × instance actually simulated;
-    /// every batch lane counts as one run).
+    /// Simulator runs (one per genome × instance actually simulated,
+    /// prefix screening replays included).
     pub runs: u64,
     /// Runs that reused an existing [`dmx_alloc::SimArena`] slab instead of
     /// allocating a fresh one.
     pub arena_reuses: u64,
-    /// Batch-kernel invocations (one pass over a trace's event arrays
-    /// serving a whole group of genomes).
+    /// Kernel passes. The kernel replays one genome per pass, so this
+    /// always equals `runs`; it is kept so `batch_runs / batches` (the
+    /// genomes per pass, now always 1) stays readable.
     pub batches: u64,
-    /// Genome runs executed inside those batch invocations;
-    /// `batch_runs / batches` is the mean amortization width.
+    /// Genome runs executed inside those kernel passes (equals `runs`).
     pub batch_runs: u64,
-    /// Wall-clock nanoseconds spent inside simulation batches.
+    /// Wall-clock nanoseconds spent inside simulation fan-outs.
     pub nanos: u64,
 }
 
@@ -315,11 +315,10 @@ impl SimStats {
     /// outcome because the kernel cannot see them.
     pub fn render(&self, cache_hits: usize) -> String {
         format!(
-            "sim stats: {} events replayed in {} simulator runs ({} batch passes), \
+            "sim stats: {} events replayed in {} simulator runs, \
              {:.0} events/sec, {} arena reuses, {} cache hits",
             self.events,
             self.runs,
-            self.batches,
             self.events_per_sec(),
             self.arena_reuses,
             cache_hits,
@@ -452,8 +451,8 @@ pub trait SearchStrategy {
 /// Memoized, parallel batch evaluator — the engine under every strategy.
 ///
 /// Each [`Self::eval_batch`] call canonicalizes the genomes, simulates the
-/// not-yet-seen ones on every instance in parallel (the same scoped-worker
-/// pattern as [`crate::Explorer::run_configs`]), stores the per-instance
+/// not-yet-seen ones on every instance in parallel (the same worker
+/// fan-out as [`crate::Explorer::run_configs`]), stores the per-instance
 /// results in the shared scenario-keyed [`EvalCache`], folds them through
 /// the context's [`Aggregate`] in robust (scenario) mode, and returns
 /// one result per input genome in input order.
@@ -465,17 +464,13 @@ pub struct Evaluator<'a> {
     instances: &'a [EvalInstance<'a>],
     /// `Some` = robust (scenario) mode, whatever the instance count.
     aggregate: Option<Aggregate>,
-    threads: usize,
     cache: EvalCache,
     /// Folded results per genome; only populated in robust mode (classic
     /// single-workload search serves straight from the cache).
     robust: Mutex<HashMap<Genome, Arc<RunResult>>>,
-    /// One shared pool of simulation arenas for all evaluation workers:
-    /// workers check arena blocks out through its lock-free freelist, so
-    /// slabs stay warm across batches (and across worker scopes) and the
-    /// kernel counters aggregate in one place.
-    shared_arena: SharedSimArena,
-    sim_nanos: AtomicU64,
+    /// The simulation workers' arenas and replay wall time, shared with
+    /// the fidelity screen.
+    workers: Workers,
     /// The multi-fidelity screening engine, when the context carries a
     /// [`FidelityPlan`]. Screens fresh genomes *before* they reach the
     /// full-trace jobs; its prefix results live in a separate cache and
@@ -483,11 +478,96 @@ pub struct Evaluator<'a> {
     fidelity: Option<MultiFidelityEvaluator<'a>>,
 }
 
-/// How many genomes one batch-kernel job replays per trace pass. Wide
-/// enough to amortize event decode across the batch, small enough that a
-/// typical GA generation still splits into several jobs for the workers
-/// to steal.
-const BATCH_K: usize = 8;
+/// One [`SimArena`] per evaluation worker, owned across batches so the
+/// slabs stay warm for full and prefix replays alike, plus the wall time
+/// spent replaying.
+#[derive(Debug)]
+struct Workers {
+    arenas: Mutex<Vec<SimArena>>,
+    nanos: AtomicU64,
+}
+
+impl Workers {
+    fn new(threads: usize) -> Self {
+        Workers {
+            arenas: Mutex::new((0..threads).map(|_| SimArena::new()).collect()),
+            nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Simulates every genome on every workload through the worker
+    /// fan-out. Job `k * genomes.len() + i` replays genome `i` on
+    /// workload `k`; the results come back in that order.
+    fn simulate(
+        &self,
+        space: &dyn GenomeSpace,
+        workloads: &[(&MemoryHierarchy, &CompiledTrace)],
+        genomes: &[Genome],
+    ) -> Vec<RunResult> {
+        let n = genomes.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut arenas = self.arenas.lock().expect("worker arenas poisoned");
+        let start = std::time::Instant::now();
+        let results = fan_out(&mut arenas, workloads.len() * n, |j, arena| {
+            let (hierarchy, trace) = workloads[j / n];
+            let config = space.config_at(hierarchy, &genomes[j % n]);
+            let metrics = Simulator::new(hierarchy)
+                .run_in_arena(&config, trace, arena)
+                .expect("space genomes materialize to valid configurations");
+            let label = config.label();
+            RunResult {
+                config,
+                label,
+                metrics,
+            }
+        });
+        self.nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        results
+    }
+
+    /// Kernel counters summed over every worker arena. The kernel runs
+    /// one genome per pass, so passes equal runs.
+    fn stats(&self) -> SimStats {
+        let arenas = self.arenas.lock().expect("worker arenas poisoned");
+        let runs = arenas.iter().map(SimArena::runs).sum();
+        SimStats {
+            events: arenas.iter().map(SimArena::events_replayed).sum(),
+            runs,
+            arena_reuses: arenas.iter().map(SimArena::reuses).sum(),
+            batches: runs,
+            batch_runs: runs,
+            nanos: self.nanos.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Folds one genome's per-instance results (parallel to `instances`)
+/// through `aggregate`, applying each instance's constraints. The
+/// representative config/label come from the first instance; the genome
+/// (see [`SearchOutcome::genomes`]) is the cross-platform identity.
+fn fold_instances(
+    instances: &[EvalInstance<'_>],
+    aggregate: Aggregate,
+    parts: &[Arc<RunResult>],
+) -> Arc<RunResult> {
+    let folded: Vec<ScenarioMetrics<'_>> = instances
+        .iter()
+        .zip(parts)
+        .map(|(inst, r)| ScenarioMetrics {
+            metrics: &r.metrics,
+            weight: inst.weight,
+            admissible: inst.constraints.is_none_or(|c| c.accepts(&r.metrics)),
+        })
+        .collect();
+    Arc::new(RunResult {
+        config: parts[0].config.clone(),
+        label: parts[0].label.clone(),
+        metrics: aggregate_metrics(aggregate, &folded),
+    })
+}
 
 impl<'a> Evaluator<'a> {
     /// A fresh evaluator (empty cache) over the context's space and
@@ -512,17 +592,14 @@ impl<'a> Evaluator<'a> {
             ctx.instances.len(),
             "instance ids must be distinct (they namespace the cache)"
         );
-        let threads = ctx.threads.max(1);
         Evaluator {
             space: ctx.space,
             space_id: ctx.space.space_id(),
             instances: ctx.instances,
             aggregate: ctx.aggregate,
-            threads,
             cache: EvalCache::new(),
             robust: Mutex::new(HashMap::new()),
-            shared_arena: SharedSimArena::with_blocks(threads),
-            sim_nanos: AtomicU64::new(0),
+            workers: Workers::new(ctx.threads.max(1)),
             fidelity: ctx
                 .fidelity
                 .map(|plan| MultiFidelityEvaluator::new(plan, ctx)),
@@ -531,15 +608,7 @@ impl<'a> Evaluator<'a> {
 
     /// Aggregate simulation-kernel statistics so far.
     pub fn sim_stats(&self) -> SimStats {
-        let arena = self.shared_arena.stats();
-        SimStats {
-            events: arena.events_replayed(),
-            runs: arena.runs(),
-            arena_reuses: arena.reuses(),
-            batches: arena.batches(),
-            batch_runs: arena.batch_runs(),
-            nanos: self.sim_nanos.load(Ordering::Relaxed),
-        }
+        self.workers.stats()
     }
 
     /// The folded (or, in classic mode, plain) result for a canonical
@@ -589,94 +658,29 @@ impl<'a> Evaluator<'a> {
         // infeasible-marked stand-in that is returned to the strategy
         // but never stored — outcomes stay full-fidelity-only.
         let (fresh, stand_ins) = match &self.fidelity {
-            Some(mf) if !fresh.is_empty() => mf.screen(fresh, &self.shared_arena, &self.sim_nanos),
+            Some(mf) if !fresh.is_empty() => mf.screen(fresh, &self.workers),
             _ => (fresh, HashMap::new()),
         };
 
-        // One job = one instance × one chunk of up to [`BATCH_K`] fresh
-        // genomes, replayed through the batch kernel in a single pass
-        // over the instance's event arrays. Per-genome results are
-        // independent, so chunking cannot change any result — only how
-        // decode work is amortized.
-        let fresh_len = fresh.len();
-        dmx_obs::metrics().eval_fresh.add(fresh_len as u64);
-        dmx_obs::metrics().batch_fresh.record(fresh_len as u64);
-        let jobs: Vec<(usize, std::ops::Range<usize>)> = (0..self.instances.len())
-            .flat_map(|k| {
-                (0..fresh_len)
-                    .step_by(BATCH_K)
-                    .map(move |lo| (k, lo..(lo + BATCH_K).min(fresh_len)))
-            })
-            .collect();
-        if !jobs.is_empty() {
-            let sims: Vec<Simulator> = self
+        // One job = one fresh genome on one instance. Results are keyed
+        // by (instance, genome), so who runs a job cannot change it.
+        dmx_obs::metrics().eval_fresh.add(fresh.len() as u64);
+        dmx_obs::metrics().batch_fresh.record(fresh.len() as u64);
+        if !fresh.is_empty() {
+            let workloads: Vec<(&MemoryHierarchy, &CompiledTrace)> = self
                 .instances
                 .iter()
-                .map(|inst| Simulator::new(inst.hierarchy))
+                .map(|inst| (inst.hierarchy, &*inst.trace))
                 .collect();
-            // Jobs are chunked per worker with stealing: workers drain
-            // their own contiguous chunk uncontended and only touch other
-            // chunks when theirs is empty, so mixed-cost jobs (scenario
-            // suites mix traces of very different lengths) even out
-            // without serializing every pop on one counter.
-            let workers = self.threads.min(jobs.len());
-            let queue = StealQueue::new(jobs.len(), workers);
-            let batch_start = std::time::Instant::now();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queue = &queue;
-                    let jobs = &jobs;
-                    let sims = &sims;
-                    let fresh = &fresh;
-                    scope.spawn(move || {
-                        // Each worker leases an arena block from the
-                        // shared pool: the live-block slab is reset in
-                        // place across jobs and stays warm across worker
-                        // scopes; the lock-free checkout is the only
-                        // cross-thread synchronization. The compiled
-                        // traces are shared behind `Arc`s — no worker
-                        // ever clones an event stream.
-                        let mut lease = self.shared_arena.checkout();
-                        while let Some(j) = queue.pop(w) {
-                            let (k, range) = &jobs[j];
-                            let inst = &self.instances[*k];
-                            let genomes = &fresh[range.clone()];
-                            let _span =
-                                dmx_obs::span(dmx_obs::names::EVAL_JOB, genomes.len() as u64);
-                            dmx_obs::metrics().eval_jobs.incr();
-                            let configs: Vec<_> = genomes
-                                .iter()
-                                .map(|g| self.space.config_at(inst.hierarchy, g))
-                                .collect();
-                            let batch = sims[*k]
-                                .run_batch_in_arena(&configs, &inst.trace, &mut lease)
-                                .expect("space genomes materialize to valid configurations");
-                            for ((genome, config), metrics) in
-                                genomes.iter().zip(configs).zip(batch)
-                            {
-                                let label = config.label();
-                                debug_assert_eq!(
-                                    label,
-                                    self.space.config_at(inst.hierarchy, genome).label(),
-                                    "cache key must match the configuration it stores"
-                                );
-                                self.cache.insert(
-                                    self.space_id,
-                                    inst.id,
-                                    genome.clone(),
-                                    Arc::new(RunResult {
-                                        config,
-                                        label,
-                                        metrics,
-                                    }),
-                                );
-                            }
-                        }
-                    });
-                }
-            });
-            self.sim_nanos
-                .fetch_add(batch_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let results = self.workers.simulate(self.space, &workloads, &fresh);
+            let keys = self
+                .instances
+                .iter()
+                .flat_map(|inst| fresh.iter().map(move |g| (inst.id, g)));
+            for ((id, genome), result) in keys.zip(results) {
+                self.cache
+                    .insert(self.space_id, id, genome.clone(), Arc::new(result));
+            }
 
             // Fold the fresh genomes into robust results (robust mode
             // only; classic search serves raw results). The fold runs
@@ -694,28 +698,7 @@ impl<'a> Evaluator<'a> {
                                 .expect("just simulated")
                         })
                         .collect();
-                    let folded: Vec<ScenarioMetrics<'_>> = self
-                        .instances
-                        .iter()
-                        .zip(&parts)
-                        .map(|(inst, r)| ScenarioMetrics {
-                            metrics: &r.metrics,
-                            weight: inst.weight,
-                            admissible: inst.constraints.is_none_or(|c| c.accepts(&r.metrics)),
-                        })
-                        .collect();
-                    let metrics = aggregate_metrics(aggregate, &folded);
-                    // The representative config/label come from the first
-                    // instance; the genome (see `SearchOutcome::genomes`)
-                    // is the cross-platform identity.
-                    robust.insert(
-                        g.clone(),
-                        Arc::new(RunResult {
-                            config: parts[0].config.clone(),
-                            label: parts[0].label.clone(),
-                            metrics,
-                        }),
-                    );
+                    robust.insert(g.clone(), fold_instances(self.instances, aggregate, &parts));
                 }
             }
         }
@@ -938,7 +921,7 @@ mod tests {
 
         // Same front as the classic exhaustive runner (indices may differ,
         // the point sets must not).
-        let classic = Explorer::new(&hier).run(&space, &trace);
+        let classic = Explorer::new(&hier).run(&space, &trace).unwrap();
         assert_eq!(
             outcome.front.points,
             classic.pareto(&Objective::FIG1).points

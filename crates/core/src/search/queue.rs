@@ -10,11 +10,17 @@
 //! magnitude — still even out through stealing instead of leaving the
 //! unlucky worker to finish alone.
 //!
-//! The queue hands out *indices*; what a job writes goes into a keyed slot
-//! (the [`super::EvalCache`]), so the assignment of jobs to workers can
-//! never change a result — only the wall clock.
+//! The queue hands out *indices*, and [`fan_out`] returns every job's
+//! output at its index, so the assignment of jobs to workers can never
+//! change a result — only the wall clock.
+//!
+//! [`fan_out`] is the one place evaluation workers are spawned: the
+//! evaluator's full-fidelity batches, the multi-fidelity prefix rungs and
+//! the explicit-configuration runner all run through it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use dmx_alloc::SimArena;
 
 /// Cache-line padding so per-chunk heads do not false-share.
 #[repr(align(64))]
@@ -79,6 +85,52 @@ impl StealQueue {
         }
         None
     }
+}
+
+/// Runs `jobs` independent jobs on scoped worker threads and returns
+/// their outputs in job order.
+///
+/// One worker is spawned per arena, capped at the job count. Workers pop
+/// job indices from a [`StealQueue`] and replay through their own
+/// [`SimArena`], whose slab therefore stays warm across jobs and — since
+/// the caller owns the arenas — across calls.
+pub(crate) fn fan_out<T: Send>(
+    arenas: &mut [SimArena],
+    jobs: usize,
+    job: impl Fn(usize, &mut SimArena) -> T + Sync,
+) -> Vec<T> {
+    let workers = arenas.len().min(jobs);
+    let queue = StealQueue::new(jobs, workers);
+    let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = arenas[..workers]
+            .iter_mut()
+            .enumerate()
+            .map(|(w, arena)| {
+                let (queue, job) = (&queue, &job);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    while let Some(j) = queue.pop(w) {
+                        let _span = dmx_obs::span(dmx_obs::names::EVAL_JOB, j as u64);
+                        dmx_obs::metrics().eval_jobs.incr();
+                        done.push((j, job(j, arena)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (j, value) in done {
+                out[j] = Some(value);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|value| value.expect("every job ran exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -149,6 +201,16 @@ mod tests {
             seen.into_inner().unwrap().iter().all(|&c| c == 1),
             "every job must be issued exactly once"
         );
+    }
+
+    #[test]
+    fn fan_out_returns_outputs_in_job_order() {
+        for workers in [1usize, 3, 8] {
+            let mut arenas: Vec<SimArena> = (0..workers).map(|_| SimArena::new()).collect();
+            let out = fan_out(&mut arenas, 50, |j, _| j * j);
+            assert_eq!(out, (0..50).map(|j| j * j).collect::<Vec<_>>());
+            assert!(fan_out(&mut arenas, 0, |j, _| j).is_empty());
+        }
     }
 
     #[test]

@@ -152,7 +152,9 @@ pub fn easyport_study(scale: StudyScale, seed: u64) -> Study {
     let hierarchy = presets::sp64k_dram4m();
     let trace = easyport_trace(scale, seed);
     let space = easyport_space(&hierarchy, scale);
-    let exploration = Explorer::new(&hierarchy).run(&space, &trace);
+    let exploration = Explorer::new(&hierarchy)
+        .run(&space, &trace)
+        .expect("packaged study spaces enumerate valid configurations");
     let summary = StudySummary::compute(&exploration);
     Study {
         trace,
@@ -167,7 +169,9 @@ pub fn vtc_study(scale: StudyScale, seed: u64) -> Study {
     let hierarchy = presets::sp64k_dram4m();
     let trace = vtc_trace(scale, seed);
     let space = vtc_space(&hierarchy, scale);
-    let exploration = Explorer::new(&hierarchy).run(&space, &trace);
+    let exploration = Explorer::new(&hierarchy)
+        .run(&space, &trace)
+        .expect("packaged study spaces enumerate valid configurations");
     let summary = StudySummary::compute(&exploration);
     Study {
         trace,

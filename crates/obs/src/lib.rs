@@ -86,7 +86,8 @@ pub fn recording() -> bool {
 pub mod names {
     /// One `Evaluator::eval_batch` call (arg: genomes requested).
     pub const EVAL_BATCH: &str = "eval.batch";
-    /// One worker job inside a batch (arg: genomes in the job).
+    /// One worker job: one genome replayed on one workload (arg: job
+    /// index within its fan-out).
     pub const EVAL_JOB: &str = "eval.job";
     /// One genetic-search generation (arg: generation index).
     pub const GA_GENERATION: &str = "search.generation";
@@ -94,13 +95,9 @@ pub mod names {
     pub const ISLAND_STEP: &str = "island.step";
     /// One migration barrier (arg: migrants installed).
     pub const MIGRATION: &str = "island.migration";
-    /// One single-genome kernel replay pass (arg: trace events).
-    pub const KERNEL_REPLAY: &str = "kernel.replay";
-    /// One SoA batch replay pass (arg: lanes).
-    pub const KERNEL_BATCH: &str = "kernel.batch";
-    /// One shared-arena lease lifetime (arg: slot index, or
-    /// `u64::MAX` for an overflow arena).
-    pub const ARENA_LEASE: &str = "arena.lease";
+    /// One replay-kernel pass (arg: trace events). The string predates
+    /// the single kernel and is kept so span consumers keep matching.
+    pub const KERNEL: &str = "kernel.batch";
     /// Cache hit marker (instant).
     pub const CACHE_HIT: &str = "cache.hit";
     /// Cache miss marker (instant).
@@ -133,16 +130,10 @@ metrics! {
         pub migrations: Counter = "island.migrations",
         /// Migrants installed into destination islands.
         pub migrants_installed: Counter = "island.migrants",
-        /// Single-genome kernel replay passes.
+        /// Replay-kernel passes.
         pub kernel_replays: Counter = "kernel.replays",
-        /// SoA batch replay passes.
-        pub kernel_batches: Counter = "kernel.batches",
-        /// Trace events replayed (single passes + batch passes × lanes).
+        /// Trace events replayed.
         pub kernel_events: Counter = "kernel.events",
-        /// Shared-arena checkouts served from the free stack.
-        pub arena_checkouts: Counter = "arena.checkouts",
-        /// Checkouts that overflowed to a fresh arena.
-        pub arena_overflows: Counter = "arena.overflows",
         /// Candidates that entered a multi-fidelity screening rung.
         pub fidelity_screened: Counter = "fidelity.screened",
         /// Candidates promoted past a screening rung.
@@ -160,8 +151,6 @@ metrics! {
         pub hv_permille: Gauge = "search.front.hv_permille",
         /// Fresh genomes per `eval_batch` call.
         pub batch_fresh: Histogram = "eval.batch.fresh",
-        /// Lanes per SoA batch replay pass.
-        pub batch_lanes: Histogram = "kernel.batch.lanes",
         /// Prefix lengths (trace events) replayed by screening rungs.
         pub fidelity_prefix_events: Histogram = "fidelity.prefix.events",
     }
@@ -209,9 +198,9 @@ mod tests {
     #[test]
     fn catalog_snapshot_has_every_metric() {
         let snap = metrics().snapshot();
-        assert_eq!(snap.len(), 24);
+        assert_eq!(snap.len(), 20);
         assert_eq!(snap[0].name, "search.generations");
-        assert!(snap.iter().any(|s| s.name == "kernel.batch.lanes"));
+        assert!(snap.iter().any(|s| s.name == "kernel.replays"));
         assert!(snap.iter().any(|s| s.name == "fidelity.prefix.events"));
     }
 

@@ -11,20 +11,20 @@
 //!   free-slot stack, so the peak slot count equals the trace's maximum
 //!   number of concurrently live blocks ([`Self::max_live_slots`]) and a
 //!   replayer can use a flat slab instead of a hash map;
-//! * events are stored as parallel dense arrays — opcodes, slots and
-//!   arguments — instead of an array of enum structs, so a replay pass
-//!   streams each component sequentially ([`Self::iter_events`] zips
-//!   them back into [`CompiledEvent`]s for the single-genome kernel);
+//! * events are stored as parallel dense arrays — opcodes, slots,
+//!   arguments and thread ids — instead of an array of enum structs;
+//!   [`CompiledTrace::prefix`] re-cuts them for the multi-fidelity
+//!   rungs;
 //! * a second, shorter stream carries **only the allocator-visible
-//!   operations** ([`Self::pool_ops`]: allocs and frees) with the work
-//!   that does not depend on allocator state hoisted out of replay
-//!   entirely: per-allocation sizes ([`Self::alloc_sizes`]), lifetime
-//!   application-access totals ([`Self::alloc_reads`] /
-//!   [`Self::alloc_writes`] — applied once at placement time, since
-//!   access charging is a pure per-level sum) and the trace's total
-//!   compute ticks ([`Self::total_tick_cycles`]). This is what the
-//!   batch kernel replays: K genomes advance through one sequential
-//!   pass over these arrays;
+//!   operations** ([`CompiledTrace::pool_ops`]: allocs and frees) with
+//!   the work that does not depend on allocator state hoisted out of
+//!   replay entirely: per-allocation sizes
+//!   ([`CompiledTrace::alloc_sizes`]), lifetime application-access
+//!   totals ([`CompiledTrace::alloc_reads`] /
+//!   [`CompiledTrace::alloc_writes`] — applied once at placement time,
+//!   since access charging is a pure per-level sum) and the trace's
+//!   total compute ticks ([`CompiledTrace::total_tick_cycles`]). This is
+//!   the stream the replay kernel walks;
 //! * per-allocation **lifetimes** (events between alloc and free) are
 //!   precomputed for placement heuristics and diagnostics;
 //! * the compile is one O(events) pass, done **once per workload** and
@@ -45,38 +45,6 @@ use std::sync::Arc;
 use crate::error::CompileError;
 use crate::event::TraceEvent;
 use crate::trace::Trace;
-
-/// One lowered trace event. Slots are dense indices in
-/// `0..max_live_slots`, recycled after the block's `Free` event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CompiledEvent {
-    /// Allocate `size` bytes into `slot` (the slot is not live).
-    Alloc {
-        /// Dense slot index the block occupies while live.
-        slot: u32,
-        /// Requested size in bytes (non-zero).
-        size: u32,
-    },
-    /// Free the block in `slot`.
-    Free {
-        /// Slot of the block being freed.
-        slot: u32,
-    },
-    /// `reads`/`writes` application accesses to the block in `slot`.
-    Access {
-        /// Slot of the accessed block.
-        slot: u32,
-        /// Read accesses.
-        reads: u32,
-        /// Write accesses.
-        writes: u32,
-    },
-    /// `cycles` of pure computation (no allocator activity).
-    Tick {
-        /// CPU cycles of computation.
-        cycles: u32,
-    },
-}
 
 /// Opcode stream entry of the full SoA lowering (one per source event).
 #[repr(u8)]
@@ -147,7 +115,8 @@ pub struct CompiledTrace {
     args: Vec<u32>,
     /// …second argument (access writes; 0 otherwise)…
     args2: Vec<u32>,
-    /// …issuing thread per event (0 for ticks).
+    /// …issuing thread per event (0 for ticks; `prefix` re-derives the
+    /// pool-op tids from it).
     tids: Vec<u32>,
     /// Allocator-op stream: allocs and frees only, in event order.
     pool_ops: Vec<PoolOp>,
@@ -155,13 +124,13 @@ pub struct CompiledTrace {
     /// what the contention model consumes.
     op_tids: Vec<u32>,
     /// Number of distinct thread ids over the pool-op stream. 1 (or 0
-    /// for op-free traces) means single-threaded: the kernels skip
+    /// for op-free traces) means single-threaded: the kernel skips
     /// contention bookkeeping entirely.
     distinct_op_tids: u32,
     /// Requested size of each allocation, in allocation order.
     alloc_sizes: Vec<u32>,
     /// Lifetime application reads of each allocation, in allocation
-    /// order (hoisted out of the event stream for the batch kernel).
+    /// order (hoisted out of the event stream for the replay kernel).
     alloc_reads: Vec<u64>,
     /// Lifetime application writes, in allocation order.
     alloc_writes: Vec<u64>,
@@ -419,63 +388,12 @@ impl CompiledTrace {
         &self.name
     }
 
-    /// The lowered events in replay order, zipped back out of the SoA
-    /// streams (the view the single-genome kernel and the tests consume).
-    pub fn iter_events(&self) -> impl Iterator<Item = CompiledEvent> + '_ {
-        self.kinds
-            .iter()
-            .zip(&self.slots)
-            .zip(&self.args)
-            .zip(&self.args2)
-            .map(|(((&kind, &slot), &arg), &arg2)| match kind {
-                OpCode::Alloc => CompiledEvent::Alloc { slot, size: arg },
-                OpCode::Free => CompiledEvent::Free { slot },
-                OpCode::Access => CompiledEvent::Access {
-                    slot,
-                    reads: arg,
-                    writes: arg2,
-                },
-                OpCode::Tick => CompiledEvent::Tick { cycles: arg },
-            })
-    }
-
-    /// The event at stream position `i` (see [`Self::iter_events`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn event_at(&self, i: usize) -> CompiledEvent {
-        match self.kinds[i] {
-            OpCode::Alloc => CompiledEvent::Alloc {
-                slot: self.slots[i],
-                size: self.args[i],
-            },
-            OpCode::Free => CompiledEvent::Free {
-                slot: self.slots[i],
-            },
-            OpCode::Access => CompiledEvent::Access {
-                slot: self.slots[i],
-                reads: self.args[i],
-                writes: self.args2[i],
-            },
-            OpCode::Tick => CompiledEvent::Tick {
-                cycles: self.args[i],
-            },
-        }
-    }
-
     /// The allocator-op stream (allocs and frees only, in event order) —
-    /// what the batch kernel replays. Access and tick work is hoisted
+    /// what the replay kernel walks. Access and tick work is hoisted
     /// into [`Self::alloc_reads`] / [`Self::alloc_writes`] /
     /// [`Self::total_tick_cycles`].
     pub fn pool_ops(&self) -> &[PoolOp] {
         &self.pool_ops
-    }
-
-    /// Issuing thread of each event, parallel to the full event stream
-    /// (0 for ticks, which are thread-agnostic).
-    pub fn tids(&self) -> &[u32] {
-        &self.tids
     }
 
     /// Issuing thread of each pool op, parallel to [`Self::pool_ops`] —
@@ -515,7 +433,7 @@ impl CompiledTrace {
     }
 
     /// Total `Tick` cycles in the trace — allocator-independent, so the
-    /// batch kernel charges them once per run instead of per event.
+    /// replay kernel charges them once per run instead of per event.
     pub fn total_tick_cycles(&self) -> u64 {
         self.total_tick_cycles
     }
@@ -596,14 +514,15 @@ mod tests {
         let c = CompiledTrace::compile(&t);
         assert_eq!(c.max_live_slots(), 2, "peak concurrency is 2");
         assert_eq!(
-            c.iter_events().collect::<Vec<_>>(),
+            c.pool_ops(),
             [
-                CompiledEvent::Alloc { slot: 0, size: 8 },
-                CompiledEvent::Alloc { slot: 1, size: 8 },
-                CompiledEvent::Free { slot: 0 },
-                CompiledEvent::Alloc { slot: 0, size: 8 },
+                PoolOp::alloc(0),
+                PoolOp::alloc(1),
+                PoolOp::free(0),
+                PoolOp::alloc(0)
             ]
         );
+        assert_eq!(c.alloc_sizes(), [8, 8, 8]);
     }
 
     #[test]
@@ -634,15 +553,11 @@ mod tests {
         .unwrap();
         let c = CompiledTrace::compile(&t);
         assert_eq!(c.len(), t.len());
-        assert_eq!(
-            c.event_at(1),
-            CompiledEvent::Access {
-                slot: 0,
-                reads: 3,
-                writes: 2
-            }
-        );
-        assert_eq!(c.event_at(2), CompiledEvent::Tick { cycles: 11 });
+        assert_eq!(c.pool_ops(), [PoolOp::alloc(0), PoolOp::free(0)]);
+        assert_eq!(c.alloc_sizes(), [100]);
+        assert_eq!(c.alloc_reads(), [3]);
+        assert_eq!(c.alloc_writes(), [2]);
+        assert_eq!(c.total_tick_cycles(), 11);
         assert_eq!(c.peak_live_bytes(), t.peak_live_bytes());
         assert_eq!(c.name(), "t");
     }
@@ -689,14 +604,14 @@ mod tests {
         assert_eq!(c.lifetimes().len() as u64, c.allocs());
         assert_eq!(c.alloc_sizes().len() as u64, c.allocs());
         assert_eq!(c.pool_ops().len() as u64, c.allocs() + c.frees());
-        // The hoisted totals must cover exactly the stream's accesses
-        // and ticks.
+        // The hoisted totals must cover exactly the source trace's
+        // accesses and ticks.
         let mut reads = 0u64;
         let mut writes = 0u64;
         let mut ticks = 0u64;
-        for e in c.iter_events() {
-            match e {
-                CompiledEvent::Access {
+        for e in t.iter() {
+            match *e {
+                TraceEvent::Access {
                     reads: r,
                     writes: w,
                     ..
@@ -704,43 +619,35 @@ mod tests {
                     reads += u64::from(r);
                     writes += u64::from(w);
                 }
-                CompiledEvent::Tick { cycles } => ticks += u64::from(cycles),
+                TraceEvent::Tick { cycles } => ticks += u64::from(cycles),
                 _ => {}
             }
         }
         assert_eq!(c.alloc_reads().iter().sum::<u64>(), reads);
         assert_eq!(c.alloc_writes().iter().sum::<u64>(), writes);
         assert_eq!(c.total_tick_cycles(), ticks);
-        // Replaying the compiled events with a slab must mirror the live
-        // set of the original trace: no slot is double-occupied.
-        let mut occupied = vec![false; c.max_live_slots() as usize];
-        for e in c.iter_events() {
-            match e {
-                CompiledEvent::Alloc { slot, .. } => {
-                    assert!(!occupied[slot as usize], "slot reused while live");
-                    occupied[slot as usize] = true;
+        // The pool-op stream is the source's alloc/free sequence, and
+        // replaying it with a slab mirrors the live set of the source:
+        // no slot is double-occupied, and each slot holds the block the
+        // source trace frees there.
+        let source_ops: Vec<&TraceEvent> = t.iter().filter(|e| e.is_allocator_op()).collect();
+        assert_eq!(c.pool_ops().len(), source_ops.len());
+        let mut occupant: Vec<Option<BlockId>> = vec![None; c.max_live_slots() as usize];
+        for (op, event) in c.pool_ops().iter().zip(source_ops) {
+            let slot = &mut occupant[op.slot() as usize];
+            match *event {
+                TraceEvent::Alloc { id, .. } => {
+                    assert!(!op.is_free());
+                    assert!(slot.is_none(), "slot reused while live");
+                    *slot = Some(id);
                 }
-                CompiledEvent::Free { slot } => {
-                    assert!(occupied[slot as usize], "free of an empty slot");
-                    occupied[slot as usize] = false;
+                TraceEvent::Free { id, .. } => {
+                    assert!(op.is_free());
+                    assert_eq!(slot.take(), Some(id), "free of the wrong slot");
                 }
-                CompiledEvent::Access { slot, .. } => {
-                    assert!(occupied[slot as usize], "access to an empty slot");
-                }
-                CompiledEvent::Tick { .. } => {}
+                _ => unreachable!("only allocator ops were kept"),
             }
         }
-        // The pool-op stream is the same sequence with accesses/ticks
-        // dropped.
-        let pool_view: Vec<PoolOp> = c
-            .iter_events()
-            .filter_map(|e| match e {
-                CompiledEvent::Alloc { slot, .. } => Some(PoolOp::alloc(slot)),
-                CompiledEvent::Free { slot } => Some(PoolOp::free(slot)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(c.pool_ops(), pool_view);
     }
 
     #[test]
@@ -843,7 +750,6 @@ mod tests {
         )
         .unwrap();
         let c = CompiledTrace::compile(&t);
-        assert_eq!(c.tids(), [1, 2, 0, 2]);
         assert_eq!(c.op_tids(), [1, 2]);
         assert_eq!(c.distinct_op_tids(), 2);
         assert!(c.is_threaded());

@@ -52,7 +52,7 @@ mod stats;
 pub mod textfmt;
 mod trace;
 
-pub use compiled::{CompiledEvent, CompiledTrace};
+pub use compiled::CompiledTrace;
 pub use error::{CompileError, ParseError, TraceError};
 pub use event::{BlockId, ThreadId, TraceEvent};
 pub use stats::{SizeStat, TraceStats};

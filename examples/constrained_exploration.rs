@@ -26,7 +26,9 @@ fn main() {
         ..EasyportConfig::paper()
     }
     .generate(42);
-    let exploration = explorer.run(&space, &trace);
+    let exploration = explorer
+        .run(&space, &trace)
+        .expect("enumerated spaces produce valid configurations");
 
     // --- 1. Constraints ---------------------------------------------------
     let sp = hier.fastest();
@@ -58,7 +60,9 @@ fn main() {
         ..EasyportConfig::paper()
     }
     .generate(42);
-    let exploration2 = explorer.run(&space, &heavier);
+    let exploration2 = explorer
+        .run(&space, &heavier)
+        .expect("enumerated spaces produce valid configurations");
     let cmp = Comparison::between(&exploration, &exploration2, Objective::Accesses);
     if let Some(g) = cmp.geomean_ratio() {
         println!("\nworkload 2x: accesses move by x{g:.2} (geometric mean over all configs)");

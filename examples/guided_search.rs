@@ -51,7 +51,9 @@ fn main() {
     );
 
     // The reference: sweep everything, Pareto-filter on Figure 1's axes.
-    let exhaustive = explorer.run(&space, &trace);
+    let exhaustive = explorer
+        .run(&space, &trace)
+        .expect("enumerated spaces produce valid configurations");
     let full = front_points(&exhaustive.pareto(&Objective::FIG1).points);
     println!(
         "exhaustive: {:>5} simulations, {} Pareto-optimal configurations",

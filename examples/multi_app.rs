@@ -46,7 +46,9 @@ fn main() {
     );
 
     let space = ParamSpace::suggest(&stats, &hier);
-    let exploration = Explorer::new(&hier).run(&space, &combined);
+    let exploration = Explorer::new(&hier)
+        .run(&space, &combined)
+        .expect("enumerated spaces produce valid configurations");
     let summary = StudySummary::compute(&exploration);
     print!("{}", summary.render());
 

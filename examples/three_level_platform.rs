@@ -34,7 +34,9 @@ fn main() {
         space.placements.len(),
     );
 
-    let exploration = Explorer::new(&hier).run(&space, &trace);
+    let exploration = Explorer::new(&hier)
+        .run(&space, &trace)
+        .expect("enumerated spaces produce valid configurations");
     let summary = StudySummary::compute(&exploration);
     print!("{}", summary.render());
 

@@ -413,9 +413,8 @@ fn fixture_config(name: &str, hier: &MemoryHierarchy) -> AllocatorConfig {
 }
 
 /// Every golden case, via every replay path: the compiled slab kernel
-/// (fresh arena and reused arena), the K-lane batch kernel, and the
-/// retained hash-map reference interpreter all reproduce the
-/// pre-refactor numbers exactly.
+/// (fresh arena and reused arena) and the retained hash-map reference
+/// interpreter all reproduce the pre-refactor numbers exactly.
 #[test]
 fn all_pool_kinds_reproduce_pre_refactor_metrics_on_every_path() {
     let hier = dmx_memhier::presets::sp64k_dram4m();
@@ -438,26 +437,11 @@ fn all_pool_kinds_reproduce_pre_refactor_metrics_on_every_path() {
 
         let convenience = sim.run(&config, &trace).unwrap();
         golden.assert_matches(&convenience, "run (compile-and-replay)");
-
-        // Batch kernel, with the golden config twice in the lane: both
-        // lanes must reproduce the golden numbers independently.
-        let lanes = [config.clone(), config];
-        let batch = sim
-            .run_batch_in_arena(&lanes, &compiled, &mut arena)
-            .unwrap();
-        for metrics in &batch {
-            golden.assert_matches(metrics, "run_batch_in_arena (batch kernel)");
-        }
     }
     assert_eq!(
         arena.runs(),
-        3 * GOLDENS.len() as u64,
-        "every golden case replayed through the shared arena (one single run, one 2-lane batch)"
-    );
-    assert_eq!(
-        arena.batches(),
         GOLDENS.len() as u64,
-        "every golden case ran one batch pass"
+        "every golden case replayed once through the shared arena"
     );
     assert!(
         arena.reuses() > 0,
@@ -634,8 +618,8 @@ const SERVER_GOLDENS: &[ServerGolden] = &[
 
 /// Every server-mix golden case via every replay path: the threaded
 /// contention charges — not just the classic counters — reproduce
-/// exactly through the slab kernel, the batch kernel and the hash-map
-/// reference interpreter.
+/// exactly through the slab kernel and the hash-map reference
+/// interpreter.
 #[test]
 fn server_mix_reproduces_pinned_threaded_metrics_on_every_path() {
     let hier = dmx_memhier::presets::sp64k_dram4m();
@@ -659,14 +643,6 @@ fn server_mix_reproduces_pinned_threaded_metrics_on_every_path() {
 
         let arena_run = sim.run_in_arena(&config, &compiled, &mut arena).unwrap();
         golden.assert_matches(&arena_run, "run_in_arena (shared worker arena)");
-
-        let lanes = [config.clone(), config];
-        let batch = sim
-            .run_batch_in_arena(&lanes, &compiled, &mut arena)
-            .unwrap();
-        for metrics in &batch {
-            golden.assert_matches(metrics, "run_batch_in_arena (batch kernel)");
-        }
     }
 }
 

@@ -165,7 +165,7 @@ fn explicit_config_list_exploration_works() {
         .iter_configs(&hier)
         .collect();
     let n = configs.len();
-    let exploration = Explorer::new(&hier).run_configs(configs, &trace);
+    let exploration = Explorer::new(&hier).run_configs(configs, &trace).unwrap();
     assert_eq!(exploration.results.len(), n);
     let front = exploration.pareto(&[Objective::EnergyPj, Objective::Cycles]);
     assert!(!front.is_empty());

@@ -37,7 +37,7 @@ proptest! {
     /// A prefix view equals a fresh compile of the truncated source
     /// trace — same slots, same hoisted access totals, same lifetimes —
     /// for any fraction. This is what lets the screening rungs reuse the
-    /// slab and batch kernels unchanged.
+    /// replay kernel unchanged.
     #[test]
     fn prefix_equals_compile_of_truncated_generation(
         which in 0usize..3,
