@@ -297,12 +297,11 @@ proptest! {
         }
     }
 
-    /// A batch of configurations replayed back to back through one arena
-    /// agrees with the reference interpreter run by run at every batch
-    /// width — including the degenerate one-run batch and batches that
-    /// repeat the same configuration.
+    /// Runs of 1, 2 and 5 configurations replayed back to back through one
+    /// reused arena agree with the reference interpreter run by run —
+    /// including a single run and runs that repeat the same configuration.
     #[test]
-    fn batch_kernel_matches_reference_interpreter(ops in arb_ops(2500, 200)) {
+    fn reused_arena_matches_reference_interpreter(ops in arb_ops(2500, 200)) {
         let hier = presets::sp64k_dram4m();
         let sim = Simulator::new(&hier);
         let trace = trace_from_ops(&ops);

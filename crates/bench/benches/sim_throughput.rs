@@ -11,6 +11,11 @@
 //!   worked example) and must produce **byte-identical metrics**;
 //! * the slab kernel must sustain **≥ 2× the reference events/sec**
 //!   (asserted — a regression fails the CI bench smoke run);
+//! * the general pool's four fit policies must cost the host about the
+//!   same per pool op: `general_fit_spread` is the slowest fit's ns per
+//!   pool op over the fastest's, on `general_only(·, lifo, co-no, sp-16)`
+//!   over the paper-scale Easyport trace. It is a ratio of two timings on
+//!   one host, so its ceiling holds on any host;
 //! * the headline numbers are recorded to `BENCH_sim_throughput.json` at
 //!   the workspace root, validated by CI against the checked-in floor in
 //!   `crates/bench/floors/sim_throughput.json`.
@@ -18,13 +23,58 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
-use dmx_alloc::{AllocatorConfig, SimArena, Simulator};
+use dmx_alloc::{
+    AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, SimArena, Simulator, SplitPolicy,
+};
 use dmx_bench::{json_num, json_str, write_bench_json};
 use dmx_core::scenario::ScenarioSuite;
+use dmx_memhier::presets;
+use dmx_trace::gen::{EasyportConfig, TraceGenerator};
+use dmx_trace::CompiledTrace;
 
 /// Per-(path, scenario, config) measurement window. Large enough to damp
 /// scheduler noise, small enough for the CI smoke run.
 const WINDOW: Duration = Duration::from_millis(120);
+
+/// Replays per fit policy in [`general_fit_ns_per_pool_op`], at least.
+const FIT_RUNS: usize = 3;
+
+/// Median host ns per pool op of each general-pool fit policy
+/// ([`FitPolicy::ALL`] order) on `general_only(·, lifo, co-no, sp-16)`
+/// over the paper-scale Easyport trace. Worst-fit without coalescing
+/// grows the longest free lists, so this is where a search that walks
+/// the host container node by node shows.
+fn general_fit_ns_per_pool_op() -> Vec<f64> {
+    let hier = presets::sp64k_dram4m();
+    let compiled = CompiledTrace::compile(&EasyportConfig::paper().generate(42));
+    let pool_ops = compiled.pool_ops().len() as f64;
+    let sim = Simulator::new(&hier);
+    let mut arena = SimArena::new();
+    FitPolicy::ALL
+        .iter()
+        .map(|&fit| {
+            let config = AllocatorConfig::general_only(
+                hier.slowest(),
+                fit,
+                FreeOrder::Lifo,
+                CoalescePolicy::Never,
+                SplitPolicy::MinRemainder(16),
+            );
+            let mut samples = Vec::new();
+            let t0 = Instant::now();
+            while samples.len() < FIT_RUNS || t0.elapsed() < WINDOW {
+                let t = Instant::now();
+                std::hint::black_box(
+                    sim.run_in_arena(&config, &compiled, &mut arena)
+                        .expect("valid config"),
+                );
+                samples.push(t.elapsed().as_nanos() as f64 / pool_ops);
+            }
+            samples.sort_by(f64::total_cmp);
+            samples[samples.len() / 2]
+        })
+        .collect()
+}
 
 fn bench_sim_throughput(c: &mut Criterion) {
     let suite = ScenarioSuite::builtin("embedded-mix").expect("built-in suite");
@@ -111,6 +161,15 @@ fn bench_sim_throughput(c: &mut Criterion) {
     );
     println!("speedup             : {speedup:.2}x  (target ≥ 2.0x)");
 
+    let fit_ns = general_fit_ns_per_pool_op();
+    let slowest = fit_ns.iter().copied().fold(f64::MIN, f64::max);
+    let fastest = fit_ns.iter().copied().fold(f64::MAX, f64::min);
+    let fit_spread = slowest / fastest;
+    for (fit, ns) in FitPolicy::ALL.iter().zip(&fit_ns) {
+        println!("general {fit} (lifo)   : {ns:>10.1} ns/pool op");
+    }
+    println!("general fit spread  : {fit_spread:.2}x  (ceiling 8.0x)");
+
     let path = write_bench_json(
         "sim_throughput",
         &[
@@ -124,6 +183,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
             ("speedup", json_num(speedup)),
             ("total_sim_seconds", json_num(total_secs)),
             ("arena_reuses", arena.reuses().to_string()),
+            ("general_fit_spread", json_num(fit_spread)),
         ],
     );
     println!("recorded {}", path.display());

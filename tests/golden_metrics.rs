@@ -449,6 +449,213 @@ fn all_pool_kinds_reproduce_pre_refactor_metrics_on_every_path() {
     );
 }
 
+/// General-pool fit/order/coalesce combinations that [`GOLDENS`] leaves
+/// unpinned: worst-fit on every non-size order (the longest free lists),
+/// next-fit (the rover) and first-fit with immediate coalescing (direct
+/// unlinks through boundary tags). All split with a 16-byte minimum
+/// remainder. Captured before the free list's host container was
+/// indexed by runs; the index must not move a single charged access.
+const FIT_GOLDENS: &[Golden] = &[
+    Golden {
+        case: "easyport/wf-lifo",
+        allocs: 6259,
+        frees: 6259,
+        failures: 0,
+        ops: 12518,
+        footprint: 1441792,
+        footprint_per_level: [0, 1441792],
+        energy_pj: 55976954586,
+        cycles: 689161800,
+        peak_internal_frag: 2466,
+        counters: [(0, 0), (37672058, 126167)],
+        meta_counters: [(0, 0), (37496440, 44111)],
+    },
+    Golden {
+        case: "easyport/wf-fifo",
+        allocs: 6259,
+        frees: 6259,
+        failures: 0,
+        ops: 12518,
+        footprint: 1441792,
+        footprint_per_level: [0, 1441792],
+        energy_pj: 55976954586,
+        cycles: 689161800,
+        peak_internal_frag: 2466,
+        counters: [(0, 0), (37672058, 126167)],
+        meta_counters: [(0, 0), (37496440, 44111)],
+    },
+    Golden {
+        case: "easyport/wf-addr",
+        allocs: 6259,
+        frees: 6259,
+        failures: 0,
+        ops: 12518,
+        footprint: 1441792,
+        footprint_per_level: [0, 1441792],
+        energy_pj: 113428040208,
+        cycles: 1387670340,
+        peak_internal_frag: 2466,
+        counters: [(0, 0), (76478088, 126167)],
+        meta_counters: [(0, 0), (76302470, 44111)],
+    },
+    Golden {
+        case: "easyport/nf-fifo",
+        allocs: 6259,
+        frees: 6259,
+        failures: 0,
+        ops: 12518,
+        footprint: 696320,
+        footprint_per_level: [0, 696320],
+        energy_pj: 1354438867,
+        cycles: 25043376,
+        peak_internal_frag: 2506,
+        counters: [(0, 0), (778590, 124367)],
+        meta_counters: [(0, 0), (602972, 42311)],
+    },
+    Golden {
+        case: "easyport/ff-lifo-co-im",
+        allocs: 6259,
+        frees: 6259,
+        failures: 0,
+        ops: 12518,
+        footprint: 90112,
+        footprint_per_level: [0, 90112],
+        energy_pj: 555805659,
+        cycles: 15340756,
+        peak_internal_frag: 3514,
+        counters: [(0, 0), (211830, 149320)],
+        meta_counters: [(0, 0), (36212, 67264)],
+    },
+    Golden {
+        case: "churn/wf-lifo",
+        allocs: 800,
+        frees: 800,
+        failures: 0,
+        ops: 1600,
+        footprint: 106496,
+        footprint_per_level: [0, 106496],
+        energy_pj: 990775839,
+        cycles: 12079218,
+        peak_internal_frag: 442,
+        counters: [(0, 0), (627401, 38215)],
+        meta_counters: [(0, 0), (595099, 5598)],
+    },
+    Golden {
+        case: "churn/wf-fifo",
+        allocs: 800,
+        frees: 800,
+        failures: 0,
+        ops: 1600,
+        footprint: 106496,
+        footprint_per_level: [0, 106496],
+        energy_pj: 990775839,
+        cycles: 12079218,
+        peak_internal_frag: 442,
+        counters: [(0, 0), (627401, 38215)],
+        meta_counters: [(0, 0), (595099, 5598)],
+    },
+    Golden {
+        case: "churn/wf-addr",
+        allocs: 800,
+        frees: 800,
+        failures: 0,
+        ops: 1600,
+        footprint: 106496,
+        footprint_per_level: [0, 106496],
+        energy_pj: 1890870774,
+        cycles: 23022858,
+        peak_internal_frag: 442,
+        counters: [(0, 0), (1235381, 38215)],
+        meta_counters: [(0, 0), (1203079, 5598)],
+    },
+    Golden {
+        case: "churn/nf-fifo",
+        allocs: 800,
+        frees: 800,
+        failures: 0,
+        ops: 1600,
+        footprint: 73728,
+        footprint_per_level: [0, 73728],
+        energy_pj: 126628827,
+        cycles: 1572586,
+        peak_internal_frag: 507,
+        counters: [(0, 0), (43917, 38019)],
+        meta_counters: [(0, 0), (11615, 5402)],
+    },
+    Golden {
+        case: "churn/ff-lifo-co-im",
+        allocs: 800,
+        frees: 800,
+        failures: 0,
+        ops: 1600,
+        footprint: 8192,
+        footprint_per_level: [0, 8192],
+        energy_pj: 122881910,
+        cycles: 1528114,
+        peak_internal_frag: 770,
+        counters: [(0, 0), (37393, 41667)],
+        meta_counters: [(0, 0), (5091, 9050)],
+    },
+];
+
+/// The general-only configuration a [`FIT_GOLDENS`] case names.
+fn fit_config(name: &str, hier: &MemoryHierarchy) -> AllocatorConfig {
+    let (fit, order, coalesce) = match name {
+        "wf-lifo" => (FitPolicy::WorstFit, FreeOrder::Lifo, CoalescePolicy::Never),
+        "wf-fifo" => (FitPolicy::WorstFit, FreeOrder::Fifo, CoalescePolicy::Never),
+        "wf-addr" => (
+            FitPolicy::WorstFit,
+            FreeOrder::AddressOrdered,
+            CoalescePolicy::Never,
+        ),
+        "nf-fifo" => (FitPolicy::NextFit, FreeOrder::Fifo, CoalescePolicy::Never),
+        "ff-lifo-co-im" => (
+            FitPolicy::FirstFit,
+            FreeOrder::Lifo,
+            CoalescePolicy::Immediate,
+        ),
+        other => panic!("unknown fit case `{other}`"),
+    };
+    AllocatorConfig::general_only(
+        hier.slowest(),
+        fit,
+        order,
+        coalesce,
+        SplitPolicy::MinRemainder(16),
+    )
+}
+
+/// Every fit case, via every replay path.
+#[test]
+fn general_fit_policies_reproduce_pinned_metrics_on_every_path() {
+    let hier = dmx_memhier::presets::sp64k_dram4m();
+    let sim = Simulator::new(&hier);
+    let mut arena = SimArena::new();
+    for golden in FIT_GOLDENS {
+        let (trace_name, config_name) = golden.case.split_once('/').expect("case format");
+        let trace = fixture_trace(trace_name);
+        let config = fit_config(config_name, &hier);
+        let compiled = CompiledTrace::compile(&trace);
+        golden.assert_matches(
+            &sim.run_reference(&config, &trace).unwrap(),
+            "run_reference (hash-map oracle)",
+        );
+        golden.assert_matches(
+            &sim.run_compiled(&config, &compiled).unwrap(),
+            "run_compiled (slab kernel)",
+        );
+        golden.assert_matches(
+            &sim.run_in_arena(&config, &compiled, &mut arena).unwrap(),
+            "run_in_arena (shared worker arena)",
+        );
+        golden.assert_matches(
+            &sim.run(&config, &trace).unwrap(),
+            "run (compile-and-replay)",
+        );
+    }
+    assert_eq!(arena.runs(), FIT_GOLDENS.len() as u64);
+}
+
 /// The pinned digest of one (threaded workload, configuration)
 /// simulation, including the contention-model outputs. Kept as a
 /// separate table from [`GOLDENS`]: those pin the *pre-refactor,
