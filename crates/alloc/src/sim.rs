@@ -19,7 +19,7 @@
 //! byte-identical [`SimMetrics`], and the `sim_throughput` bench reports
 //! the slab kernel's speedup over it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy};
 use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
@@ -123,43 +123,51 @@ impl Default for ContentionParams {
     }
 }
 
-/// Sliding window of the last `window` op tids on one pool, with an
-/// incremental per-tid count so "distinct other threads" is O(1) per op.
+/// Sliding window of the last `window` op threads on one pool, with an
+/// incremental per-thread count so "distinct other threads" is O(1) per
+/// op. Threads are the trace's dense indices, so the counts are a flat
+/// table and no op hashes.
 struct PoolWindow {
     ring: Vec<u32>,
     head: usize,
     filled: usize,
-    counts: HashMap<u32, u32>,
+    /// `counts[t]` = ops by thread `t` in the window.
+    counts: Vec<u32>,
+    /// Threads with a nonzero count.
+    present: u32,
 }
 
 impl PoolWindow {
-    fn new(window: usize) -> Self {
+    fn new(window: usize, threads: usize) -> Self {
         PoolWindow {
             ring: vec![0; window],
             head: 0,
             filled: 0,
-            counts: HashMap::new(),
+            counts: vec![0; threads],
+            present: 0,
         }
     }
 
-    /// Records `tid` touching the pool and returns the number of
+    /// Records `thread` touching the pool and returns the number of
     /// distinct *other* threads present in the window before this op.
-    fn observe(&mut self, tid: u32) -> u32 {
-        let others = (self.counts.len() - usize::from(self.counts.contains_key(&tid))) as u32;
-        let window = self.ring.len();
-        if self.filled == window {
-            let old = self.ring[self.head];
-            let n = self.counts.get_mut(&old).expect("windowed tid counted");
-            *n -= 1;
-            if *n == 0 {
-                self.counts.remove(&old);
-            }
+    fn observe(&mut self, thread: u32) -> u32 {
+        let own = self.counts[thread as usize];
+        let others = self.present - u32::from(own > 0);
+        if self.filled == self.ring.len() {
+            let old = &mut self.counts[self.ring[self.head] as usize];
+            *old -= 1;
+            self.present -= u32::from(*old == 0);
         } else {
             self.filled += 1;
         }
-        self.ring[self.head] = tid;
-        self.head = (self.head + 1) % window;
-        *self.counts.entry(tid).or_insert(0) += 1;
+        self.ring[self.head] = thread;
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
+        let own = &mut self.counts[thread as usize];
+        self.present += u32::from(*own == 0);
+        *own += 1;
         others
     }
 }
@@ -171,29 +179,30 @@ struct ContentionState {
     params: ContentionParams,
     pools: Vec<PoolWindow>,
     stalls: u64,
-    /// `dist[d]` = pool ops that observed `d` distinct other threads.
+    /// `dist[d]` = pool ops that observed `d` distinct other threads
+    /// (`d` < threads, so its length is fixed up front).
     dist: Vec<u64>,
 }
 
 impl ContentionState {
-    fn new(params: ContentionParams, pool_count: usize) -> Self {
+    /// Windows for `pool_count` pools over `threads` dense thread
+    /// indices: pools × threads counts, never sized by a raw tid.
+    fn new(params: ContentionParams, pool_count: usize, threads: usize) -> Self {
         ContentionState {
             params,
             pools: (0..pool_count)
-                .map(|_| PoolWindow::new(params.window as usize))
+                .map(|_| PoolWindow::new(params.window as usize, threads))
                 .collect(),
             stalls: 0,
-            dist: Vec::new(),
+            dist: vec![0; threads],
         }
     }
 
-    /// Charges one successful pool op issued by `tid` against `pool`.
-    fn charge(&mut self, pool: PoolId, tid: u32) {
-        let d = self.pools[pool as usize].observe(tid);
+    /// Charges one successful pool op issued by dense `thread` against
+    /// `pool`.
+    fn charge(&mut self, pool: PoolId, thread: u32) {
+        let d = self.pools[pool as usize].observe(thread);
         self.stalls += u64::from(self.params.stall_cycles) * u64::from(d);
-        if self.dist.len() <= d as usize {
-            self.dist.resize(d as usize + 1, 0);
-        }
         self.dist[d as usize] += 1;
     }
 
@@ -323,13 +332,13 @@ impl<'h> Simulator<'h> {
         self.contention
     }
 
-    /// Contention accounting for one replay, or `None` when the trace is
-    /// single-threaded or the model is disabled — the gate that keeps
-    /// tid-0-only replays on the original hot path with provably zero
-    /// contention cycles.
-    fn contention_state(&self, threaded: bool, pool_count: usize) -> Option<ContentionState> {
-        (threaded && self.contention.window > 0)
-            .then(|| ContentionState::new(self.contention, pool_count))
+    /// Contention accounting for one replay over `threads` dense thread
+    /// indices, or `None` when the trace is single-threaded or the model
+    /// is disabled — the gate that keeps tid-0-only replays on the
+    /// original hot path with provably zero contention cycles.
+    fn contention_state(&self, threads: usize, pool_count: usize) -> Option<ContentionState> {
+        (threads > 1 && self.contention.window > 0)
+            .then(|| ContentionState::new(self.contention, pool_count, threads))
     }
 
     /// The platform this simulator models.
@@ -422,11 +431,12 @@ impl<'h> Simulator<'h> {
         let mut failures = 0u64;
         let mut live_internal_frag = 0u64;
         let mut peak_internal_frag = 0u64;
-        let mut contention = self.contention_state(trace.is_threaded(), allocator.pool_count());
+        let mut contention =
+            self.contention_state(trace.thread_ids().len(), allocator.pool_count());
         let sizes = trace.alloc_sizes();
         let reads = trace.alloc_reads();
         let writes = trace.alloc_writes();
-        let op_tids = trace.op_tids();
+        let op_threads = trace.op_threads();
         let slab = arena.prepare(trace.max_live_slots() as usize);
         let mut ordinal = 0usize;
 
@@ -437,7 +447,7 @@ impl<'h> Simulator<'h> {
                     live_internal_frag -= u64::from(info.internal_fragmentation());
                     allocator.free_traced(info.addr, pool, &mut ctx);
                     if let Some(c) = contention.as_mut() {
-                        c.charge(pool, op_tids[op_idx]);
+                        c.charge(pool, op_threads[op_idx]);
                     }
                     frees += 1;
                 }
@@ -452,7 +462,7 @@ impl<'h> Simulator<'h> {
                         peak_internal_frag = peak_internal_frag.max(live_internal_frag);
                         ctx.app_access(info.level, block_reads, block_writes);
                         if let Some(c) = contention.as_mut() {
-                            c.charge(pool, op_tids[op_idx]);
+                            c.charge(pool, op_threads[op_idx]);
                         }
                         debug_assert!(entry.is_none(), "slot already live");
                         *entry = Some((info, pool));
@@ -500,17 +510,19 @@ impl<'h> Simulator<'h> {
         let mut tick_cycles = 0u64;
         let mut live_internal_frag = 0u64;
         let mut peak_internal_frag = 0u64;
-        // Re-derive the threaded gate from the raw events (the kernels
-        // read it off the compiled tid stream): contention only applies
+        // Number the threads from the raw events (the kernel reads its
+        // dense indices off the compiled trace): contention only applies
         // when more than one distinct thread issues allocator ops.
-        let threaded = trace
+        let mut threads: HashMap<u32, u32> = HashMap::new();
+        for tid in trace
             .iter()
             .filter(|ev| ev.is_allocator_op())
             .filter_map(|ev| ev.thread_id())
-            .collect::<HashSet<_>>()
-            .len()
-            > 1;
-        let mut contention = self.contention_state(threaded, allocator.pool_count());
+        {
+            let next = threads.len() as u32;
+            threads.entry(tid.0).or_insert(next);
+        }
+        let mut contention = self.contention_state(threads.len(), allocator.pool_count());
 
         for event in trace {
             match *event {
@@ -521,7 +533,7 @@ impl<'h> Simulator<'h> {
                             live_internal_frag += u64::from(info.internal_fragmentation());
                             peak_internal_frag = peak_internal_frag.max(live_internal_frag);
                             if let Some(c) = contention.as_mut() {
-                                c.charge(pool, tid.0);
+                                c.charge(pool, threads[&tid.0]);
                             }
                             placed.insert(id, (info, pool));
                         }
@@ -535,7 +547,7 @@ impl<'h> Simulator<'h> {
                         live_internal_frag -= u64::from(info.internal_fragmentation());
                         allocator.free_traced(info.addr, pool, &mut ctx);
                         if let Some(c) = contention.as_mut() {
-                            c.charge(pool, tid.0);
+                            c.charge(pool, threads[&tid.0]);
                         }
                         frees += 1;
                     }
@@ -1018,7 +1030,7 @@ mod tests {
 
     #[test]
     fn pool_window_counts_distinct_other_threads() {
-        let mut w = PoolWindow::new(4);
+        let mut w = PoolWindow::new(4, 4);
         assert_eq!(w.observe(1), 0, "empty window: nobody else");
         assert_eq!(w.observe(1), 0, "same thread again: still nobody else");
         assert_eq!(w.observe(2), 1, "t1 is in the window");
@@ -1037,13 +1049,61 @@ mod tests {
             stall_cycles: 40,
             window: 8,
         };
-        let mut c = ContentionState::new(params, 1);
+        let mut c = ContentionState::new(params, 1, 2);
         c.dist = vec![99, 1];
         assert_eq!(c.tail_latency(12), 12, "p99 op saw 0 others at 99/100");
         c.dist = vec![98, 2];
         assert_eq!(c.tail_latency(12), 12 + 40, "p99 op saw 1 other");
         c.dist = vec![];
         assert_eq!(c.tail_latency(12), 0, "no ops observed");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config { cases: 64, ..Default::default() })]
+
+        /// The counted windows agree with a naive model that keeps each
+        /// pool's whole op history and rescans its last `window` ops for
+        /// distinct other threads: per-op `d` (read off the stall
+        /// delta), the stall total and the p99 charge.
+        #[test]
+        fn pool_window_matches_naive_scan(
+            window in 1u32..=8,
+            threads in 1usize..=6,
+            pools in 1usize..=4,
+            stall_cycles in 1u32..=50,
+            stream in proptest::collection::vec((0usize..4, 0u32..6), 0..300),
+        ) {
+            let params = ContentionParams { stall_cycles, window };
+            let mut c = ContentionState::new(params, pools, threads);
+            let mut history: Vec<Vec<u32>> = vec![Vec::new(); pools];
+            let mut ds: Vec<u64> = Vec::new();
+            for &(pool, thread) in &stream {
+                let (pool, thread) = (pool % pools, thread % threads as u32);
+                let past = &history[pool];
+                let recent = &past[past.len().saturating_sub(window as usize)..];
+                let mut others: Vec<u32> =
+                    recent.iter().copied().filter(|&t| t != thread).collect();
+                others.sort_unstable();
+                others.dedup();
+                let d = others.len() as u64;
+                let before = c.stalls;
+                c.charge(pool as PoolId, thread);
+                proptest::prop_assert_eq!(c.stalls - before, u64::from(stall_cycles) * d);
+                history[pool].push(thread);
+                ds.push(d);
+            }
+            let stalls: u64 = ds.iter().map(|&d| u64::from(stall_cycles) * d).sum();
+            proptest::prop_assert_eq!(c.stalls, stalls);
+            let cpu = 12;
+            let tail = if ds.is_empty() {
+                0
+            } else {
+                ds.sort_unstable();
+                let at = (99 * ds.len()).div_ceil(100) - 1;
+                cpu + u64::from(stall_cycles) * ds[at]
+            };
+            proptest::prop_assert_eq!(c.tail_latency(cpu), tail);
+        }
     }
 
     #[test]

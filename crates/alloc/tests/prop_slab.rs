@@ -204,6 +204,41 @@ fn threaded_trace_from_ops(ops: &[Op], tids: u32) -> Trace {
     t
 }
 
+/// Sparse and extreme thread ids a relabeling draws from.
+const EXTREME_TIDS: [u32; 8] = [0, u32::MAX, 1, 7, 1 << 31, u32::MAX - 1, 65_536, 3];
+
+/// `trace` with every tid `t` replaced by `relabel(t)`.
+fn relabel_tids(trace: &Trace, relabel: impl Fn(u32) -> u32) -> Trace {
+    use dmx_trace::ThreadId;
+    let events = trace
+        .iter()
+        .map(|event| match *event {
+            TraceEvent::Alloc { tid, id, size } => TraceEvent::Alloc {
+                tid: ThreadId(relabel(tid.0)),
+                id,
+                size,
+            },
+            TraceEvent::Free { tid, id } => TraceEvent::Free {
+                tid: ThreadId(relabel(tid.0)),
+                id,
+            },
+            TraceEvent::Access {
+                tid,
+                id,
+                reads,
+                writes,
+            } => TraceEvent::Access {
+                tid: ThreadId(relabel(tid.0)),
+                id,
+                reads,
+                writes,
+            },
+            tick @ TraceEvent::Tick { .. } => tick,
+        })
+        .collect();
+    Trace::from_events(trace.name(), events).unwrap()
+}
+
 fn kernel_configs(hier: &dmx_memhier::MemoryHierarchy) -> Vec<AllocatorConfig> {
     let main = hier.slowest();
     vec![
@@ -355,6 +390,72 @@ proptest! {
                 tids,
                 config.label()
             );
+        }
+    }
+
+    /// Metamorphic relation: the metrics depend on which ops share a
+    /// thread, never on the thread ids' values. A random injective
+    /// relabeling onto sparse and extreme ids — followed by a 0 ↔
+    /// `u32::MAX` swap of the relabeled trace — leaves the reference
+    /// interpreter's and the kernel's metrics, the prefix rung's metrics
+    /// and the dense thread stream unchanged.
+    #[test]
+    fn metrics_invariant_under_tid_relabeling(
+        ops in arb_ops(2500, 150),
+        tids in 2u32..6,
+        keys in prop::collection::vec(any::<u64>(), EXTREME_TIDS.len()),
+        wild in any::<u32>(),
+    ) {
+        // An injective map 0..tids → ids: a random-key shuffle of the
+        // extreme ids plus one random id.
+        let mut pool: Vec<(u64, u32)> = keys.iter().copied().zip(EXTREME_TIDS).collect();
+        pool.sort_unstable();
+        let mut labels: Vec<u32> = pool.into_iter().map(|(_, id)| id).collect();
+        if !labels.contains(&wild) {
+            labels.insert(0, wild);
+        }
+        let swap = |t: u32| match t {
+            0 => u32::MAX,
+            u32::MAX => 0,
+            t => t,
+        };
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = threaded_trace_from_ops(&ops, tids);
+        let relabel = |t: u32| labels[t as usize];
+        let relabeled = relabel_tids(&trace, relabel);
+        let swapped = relabel_tids(&relabeled, swap);
+        let compiled = CompiledTrace::compile(&trace);
+        let base_prefix = compiled.prefix(0.5).unwrap();
+        let ids = compiled.thread_ids();
+        let relabeled_ids: Vec<u32> = ids.iter().map(|&t| relabel(t)).collect();
+        let swapped_ids: Vec<u32> = relabeled_ids.iter().map(|&t| swap(t)).collect();
+        for (variant, want_ids) in [(&relabeled, relabeled_ids), (&swapped, swapped_ids)] {
+            let c = CompiledTrace::compile(variant);
+            prop_assert_eq!(c.op_threads(), compiled.op_threads());
+            prop_assert_eq!(c.thread_ids(), &want_ids[..]);
+            let p = c.prefix(0.5).unwrap();
+            prop_assert_eq!(p.op_threads(), base_prefix.op_threads());
+            for config in kernel_configs(&hier) {
+                prop_assert_eq!(
+                    sim.run_reference(&config, variant).unwrap(),
+                    sim.run_reference(&config, &trace).unwrap(),
+                    "reference metrics move under relabeling for {}",
+                    config.label()
+                );
+                prop_assert_eq!(
+                    sim.run_compiled(&config, &c).unwrap(),
+                    sim.run_compiled(&config, &compiled).unwrap(),
+                    "kernel metrics move under relabeling for {}",
+                    config.label()
+                );
+                prop_assert_eq!(
+                    sim.run_compiled(&config, &p).unwrap(),
+                    sim.run_compiled(&config, &base_prefix).unwrap(),
+                    "prefix metrics move under relabeling for {}",
+                    config.label()
+                );
+            }
         }
     }
 

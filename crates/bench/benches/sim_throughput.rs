@@ -16,6 +16,11 @@
 //!   pool op over the fastest's, on `general_only(·, lifo, co-no, sp-16)`
 //!   over the paper-scale Easyport trace. It is a ratio of two timings on
 //!   one host, so its ceiling holds on any host;
+//! * contention charging must stay cheap next to the replay it rides
+//!   on: `contention_overhead` is the kernel's median ns per pool op
+//!   under the default contention model over the same with the model
+//!   disabled (`window: 0`), on the threaded `server-mix` suite under
+//!   the configurations above. Another ratio of two timings on one host;
 //! * the headline numbers are recorded to `BENCH_sim_throughput.json` at
 //!   the workspace root, validated by CI against the checked-in floor in
 //!   `crates/bench/floors/sim_throughput.json`.
@@ -24,7 +29,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
 use dmx_alloc::{
-    AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, SimArena, Simulator, SplitPolicy,
+    AllocatorConfig, CoalescePolicy, ContentionParams, FitPolicy, FreeOrder, SimArena, Simulator,
+    SplitPolicy,
 };
 use dmx_bench::{json_num, json_str, write_bench_json};
 use dmx_core::scenario::ScenarioSuite;
@@ -74,6 +80,56 @@ fn general_fit_ns_per_pool_op() -> Vec<f64> {
             samples[samples.len() / 2]
         })
         .collect()
+}
+
+/// Replays per (scenario, config) and contention setting in
+/// [`contention_overhead`]. A fixed count, so every pair weighs the same
+/// in the medians however fast it replays.
+const CONTENTION_RUNS: usize = 15;
+
+/// Median kernel ns per pool op on the threaded `server-mix` suite under
+/// the default contention model, over the same with the model disabled.
+/// Charged and uncharged replays alternate, so host drift hits both
+/// sides alike. `configs` that name a level a platform lacks are skipped
+/// for that platform.
+fn contention_overhead(configs: &[AllocatorConfig]) -> f64 {
+    let suite = ScenarioSuite::builtin("server-mix").expect("built-in suite");
+    let off = ContentionParams {
+        window: 0,
+        ..ContentionParams::default()
+    };
+    let mut on_ns = Vec::new();
+    let mut off_ns = Vec::new();
+    let mut stalls = 0u64;
+    let mut arena = SimArena::new();
+    for m in &suite.materialize(42) {
+        assert!(m.compiled.is_threaded(), "server-mix traces are threaded");
+        let pool_ops = m.compiled.pool_ops().len() as f64;
+        let charged = Simulator::new(&m.hierarchy).with_contention(ContentionParams::default());
+        let uncharged = Simulator::new(&m.hierarchy).with_contention(off);
+        for config in configs.iter().filter(|c| c.validate(&m.hierarchy).is_ok()) {
+            for _ in 0..CONTENTION_RUNS {
+                for (sim, samples) in [(&charged, &mut on_ns), (&uncharged, &mut off_ns)] {
+                    let t = Instant::now();
+                    let metrics = sim
+                        .run_in_arena(config, &m.compiled, &mut arena)
+                        .expect("valid config");
+                    samples.push(t.elapsed().as_nanos() as f64 / pool_ops);
+                    stalls += std::hint::black_box(metrics).contention_stalls;
+                }
+            }
+        }
+    }
+    assert!(
+        !on_ns.is_empty(),
+        "some configuration fits a server-mix platform"
+    );
+    assert!(stalls > 0, "the charged replays must charge contention");
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    median(&mut on_ns) / median(&mut off_ns)
 }
 
 fn bench_sim_throughput(c: &mut Criterion) {
@@ -170,6 +226,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
     }
     println!("general fit spread  : {fit_spread:.2}x  (ceiling 8.0x)");
 
+    let overhead = contention_overhead(&configs);
+    println!("contention overhead : {overhead:.2}x  (ceiling 1.6x, server-mix)");
+
     let path = write_bench_json(
         "sim_throughput",
         &[
@@ -184,6 +243,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
             ("total_sim_seconds", json_num(total_secs)),
             ("arena_reuses", arena.reuses().to_string()),
             ("general_fit_spread", json_num(fit_spread)),
+            ("contention_overhead", json_num(overhead)),
         ],
     );
     println!("recorded {}", path.display());

@@ -38,7 +38,7 @@
 //! tick charges are additive (order never affects the totals the cost
 //! model consumes).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -93,9 +93,33 @@ impl PoolOp {
     }
 }
 
-/// Number of distinct thread ids in a pool-op tid stream.
-fn distinct_tids(op_tids: &[u32]) -> u32 {
-    op_tids.iter().collect::<HashSet<_>>().len() as u32
+/// Lowers raw thread ids to dense thread indices, numbered in order of
+/// first appearance. A tid equal to the previous op's reuses its index
+/// without a lookup, so a single-threaded stream hashes only once.
+#[derive(Default)]
+struct ThreadLowering {
+    /// Raw tid of each dense index, in index order.
+    ids: Vec<u32>,
+    index: HashMap<u32, u32>,
+    /// The previous op's (raw tid, index).
+    last: Option<(u32, u32)>,
+}
+
+impl ThreadLowering {
+    fn lower(&mut self, tid: u32) -> u32 {
+        match self.last {
+            Some((raw, thread)) if raw == tid => thread,
+            _ => {
+                let next = self.ids.len() as u32;
+                let thread = *self.index.entry(tid).or_insert(next);
+                if thread == next {
+                    self.ids.push(tid);
+                }
+                self.last = Some((tid, thread));
+                thread
+            }
+        }
+    }
 }
 
 /// A flat, replay-ready SoA lowering of one workload trace.
@@ -115,18 +139,21 @@ pub struct CompiledTrace {
     args: Vec<u32>,
     /// …second argument (access writes; 0 otherwise)…
     args2: Vec<u32>,
-    /// …issuing thread per event (0 for ticks; `prefix` re-derives the
-    /// pool-op tids from it).
+    /// …raw issuing tid per event (0 for ticks; `prefix` re-derives the
+    /// pool-op thread indices from it).
     tids: Vec<u32>,
     /// Allocator-op stream: allocs and frees only, in event order.
     pool_ops: Vec<PoolOp>,
-    /// Issuing thread of each pool op, parallel to [`Self::pool_ops`] —
-    /// what the contention model consumes.
-    op_tids: Vec<u32>,
-    /// Number of distinct thread ids over the pool-op stream. 1 (or 0
-    /// for op-free traces) means single-threaded: the kernel skips
-    /// contention bookkeeping entirely.
-    distinct_op_tids: u32,
+    /// Dense index of each pool op's issuing thread, parallel to
+    /// [`Self::pool_ops`] — what the contention model consumes. Threads
+    /// are numbered in order of first appearance in the pool-op stream,
+    /// so every index is below `thread_ids.len()`.
+    op_threads: Vec<u32>,
+    /// Raw thread id of each dense thread index, one entry per thread
+    /// that issues a pool op. More than one entry means threaded: a
+    /// single-threaded (or op-free) trace skips contention bookkeeping
+    /// entirely.
+    thread_ids: Vec<u32>,
     /// Requested size of each allocation, in allocation order.
     alloc_sizes: Vec<u32>,
     /// Lifetime application reads of each allocation, in allocation
@@ -158,7 +185,8 @@ impl CompiledTrace {
         let mut args2 = Vec::with_capacity(len);
         let mut tids = Vec::with_capacity(len);
         let mut pool_ops = Vec::new();
-        let mut op_tids = Vec::new();
+        let mut op_threads = Vec::new();
+        let mut threads = ThreadLowering::default();
         let mut alloc_sizes = Vec::new();
         let mut alloc_reads: Vec<u64> = Vec::new();
         let mut alloc_writes: Vec<u64> = Vec::new();
@@ -192,7 +220,7 @@ impl CompiledTrace {
                     args2.push(0);
                     tids.push(tid.0);
                     pool_ops.push(PoolOp::alloc(slot));
-                    op_tids.push(tid.0);
+                    op_threads.push(threads.lower(tid.0));
                 }
                 TraceEvent::Free { id, tid } => {
                     let (slot, born, ordinal) =
@@ -206,7 +234,7 @@ impl CompiledTrace {
                     args2.push(0);
                     tids.push(tid.0);
                     pool_ops.push(PoolOp::free(slot));
-                    op_tids.push(tid.0);
+                    op_threads.push(threads.lower(tid.0));
                 }
                 TraceEvent::Access {
                     id,
@@ -239,7 +267,6 @@ impl CompiledTrace {
             lifetimes[ordinal] = (end - born) as u32;
         }
 
-        let distinct_op_tids = distinct_tids(&op_tids);
         CompiledTrace {
             name: trace.name().to_owned(),
             kinds,
@@ -248,8 +275,8 @@ impl CompiledTrace {
             args2,
             tids,
             pool_ops,
-            op_tids,
-            distinct_op_tids,
+            op_threads,
+            thread_ids: threads.ids,
             alloc_sizes,
             alloc_reads,
             alloc_writes,
@@ -300,7 +327,8 @@ impl CompiledTrace {
         }
 
         let mut pool_ops = Vec::new();
-        let mut op_tids = Vec::new();
+        let mut op_threads = Vec::new();
+        let mut threads = ThreadLowering::default();
         let mut alloc_sizes = Vec::new();
         let mut alloc_reads: Vec<u64> = Vec::new();
         let mut alloc_writes: Vec<u64> = Vec::new();
@@ -328,7 +356,7 @@ impl CompiledTrace {
                     lifetimes.push(0);
                     allocs += 1;
                     pool_ops.push(PoolOp::alloc(slot));
-                    op_tids.push(self.tids[at]);
+                    op_threads.push(threads.lower(self.tids[at]));
                     live_bytes += u64::from(size);
                     peak_live_bytes = peak_live_bytes.max(live_bytes);
                     // The free-slot stack hands out the same slots for
@@ -342,7 +370,7 @@ impl CompiledTrace {
                     owner[slot as usize] = (usize::MAX, 0);
                     frees += 1;
                     pool_ops.push(PoolOp::free(slot));
-                    op_tids.push(self.tids[at]);
+                    op_threads.push(threads.lower(self.tids[at]));
                     live_bytes -= u64::from(alloc_sizes[ordinal]);
                 }
                 OpCode::Access => {
@@ -360,7 +388,6 @@ impl CompiledTrace {
             }
         }
 
-        let distinct_op_tids = distinct_tids(&op_tids);
         Ok(CompiledTrace {
             name: self.name.clone(),
             kinds: self.kinds[..cut].to_vec(),
@@ -369,8 +396,8 @@ impl CompiledTrace {
             args2: self.args2[..cut].to_vec(),
             tids: self.tids[..cut].to_vec(),
             pool_ops,
-            op_tids,
-            distinct_op_tids,
+            op_threads,
+            thread_ids: threads.ids,
             alloc_sizes,
             alloc_reads,
             alloc_writes,
@@ -396,22 +423,30 @@ impl CompiledTrace {
         &self.pool_ops
     }
 
-    /// Issuing thread of each pool op, parallel to [`Self::pool_ops`] —
-    /// the stream the contention model consumes.
-    pub fn op_tids(&self) -> &[u32] {
-        &self.op_tids
+    /// Dense index of each pool op's issuing thread, parallel to
+    /// [`Self::pool_ops`] — the stream the contention model consumes.
+    /// Threads are numbered in order of first appearance in the pool-op
+    /// stream; `thread_ids()[op_threads()[i]]` is op `i`'s raw tid.
+    pub fn op_threads(&self) -> &[u32] {
+        &self.op_threads
+    }
+
+    /// Raw thread id of each dense thread index, in index order: one
+    /// entry per distinct thread issuing pool ops.
+    pub fn thread_ids(&self) -> &[u32] {
+        &self.thread_ids
     }
 
     /// Number of distinct thread ids over the pool-op stream.
     pub fn distinct_op_tids(&self) -> u32 {
-        self.distinct_op_tids
+        self.thread_ids.len() as u32
     }
 
     /// `true` when more than one thread issues allocator operations —
     /// the gate for all contention bookkeeping (single-threaded replays
     /// take the original hot path and charge zero contention).
     pub fn is_threaded(&self) -> bool {
-        self.distinct_op_tids > 1
+        self.thread_ids.len() > 1
     }
 
     /// Requested size of the n-th allocation (allocation order, aligned
@@ -738,7 +773,7 @@ mod tests {
     fn tid_lowering_preserves_thread_identity() {
         use crate::event::ThreadId;
         // Producer thread 1 allocates, consumer thread 2 frees; a tick
-        // separates them. Pool-op tids must follow the event tids.
+        // separates them. Pool-op threads must follow the event tids.
         let t = Trace::from_events(
             "t",
             vec![
@@ -750,12 +785,37 @@ mod tests {
         )
         .unwrap();
         let c = CompiledTrace::compile(&t);
-        assert_eq!(c.op_tids(), [1, 2]);
+        assert_eq!(c.op_threads(), [0, 1], "dense, in first-appearance order");
+        assert_eq!(c.thread_ids(), [1, 2]);
+        let raw: Vec<u32> = c
+            .op_threads()
+            .iter()
+            .map(|&i| c.thread_ids()[i as usize])
+            .collect();
+        assert_eq!(raw, [1, 2], "raw identity survives through thread_ids");
         assert_eq!(c.distinct_op_tids(), 2);
         assert!(c.is_threaded());
+        // Extreme raw tids get small indices: nothing is sized by a raw
+        // tid value, and a repeated tid keeps its index.
+        let x = Trace::from_events(
+            "x",
+            vec![
+                TraceEvent::alloc_on(ThreadId(u32::MAX), BlockId(1), 8),
+                TraceEvent::alloc_on(ThreadId(7), BlockId(2), 8),
+                TraceEvent::free_on(ThreadId(7), BlockId(1)),
+                TraceEvent::free_on(ThreadId(u32::MAX), BlockId(2)),
+            ],
+        )
+        .unwrap();
+        let cx = CompiledTrace::compile(&x);
+        assert_eq!(cx.op_threads(), [0, 1, 1, 0]);
+        assert_eq!(cx.thread_ids(), [u32::MAX, 7]);
+        assert!(cx.is_threaded());
         // Single-threaded traces gate contention off.
         let s = CompiledTrace::compile(&ramp(4, 16));
         assert_eq!(s.distinct_op_tids(), 1);
+        assert_eq!(s.thread_ids(), [0]);
+        assert!(s.op_threads().iter().all(|&i| i == 0));
         assert!(!s.is_threaded());
     }
 
@@ -784,7 +844,11 @@ mod tests {
                 Trace::from_events(t.name(), t.events()[..cut].to_vec()).expect("valid prefix");
             let p = c.prefix(fraction).unwrap();
             assert_eq!(p, CompiledTrace::compile(&truncated));
-            assert_eq!(p.op_tids().len(), p.pool_ops().len());
+            assert_eq!(p.op_threads().len(), p.pool_ops().len());
+            // The window numbers threads in the same first-appearance
+            // order, so its indices are a cut of the full trace's.
+            assert_eq!(p.op_threads(), &c.op_threads()[..p.pool_ops().len()]);
+            assert_eq!(p.thread_ids(), &c.thread_ids()[..p.thread_ids().len()]);
         }
     }
 }
