@@ -90,17 +90,52 @@ impl CompositeAllocator {
     ) -> Result<(BlockInfo, PoolId), AllocError> {
         ctx.count_op();
         let primary = self.route(size);
-        let attempt = self.pools[primary].alloc(size, &mut self.regions, ctx);
-        let (info, served_by) = match attempt {
-            Ok(info) => (info, primary),
+        match self.alloc_on(primary, size, ctx) {
+            Ok(info) => Ok((info, primary as PoolId)),
             Err(_) if primary != self.fallback => {
-                let info = self.pools[self.fallback].alloc(size, &mut self.regions, ctx)?;
-                (info, self.fallback)
+                let info = self.alloc_on(self.fallback, size, ctx)?;
+                Ok((info, self.fallback as PoolId))
             }
-            Err(e) => return Err(e),
-        };
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Serves `size` bytes from pool `pool` alone — no routing, no
+    /// spill to the fallback, no op counted — charging its accesses to
+    /// `ctx`. The replay kernel's entry point: it routes, counts and
+    /// spills itself, and keeps one accounting context per pool.
+    ///
+    /// # Errors
+    ///
+    /// The pool's own error when it cannot serve.
+    pub(crate) fn alloc_on(
+        &mut self,
+        pool: usize,
+        size: u32,
+        ctx: &mut AllocCtx,
+    ) -> Result<BlockInfo, AllocError> {
+        let info = self.pools[pool].alloc(size, &mut self.regions, ctx)?;
         self.live += 1;
-        Ok((info, served_by as PoolId))
+        Ok(info)
+    }
+
+    /// Frees a block of pool `pool` without counting an op (the
+    /// kernel's counterpart of [`Self::alloc_on`]).
+    pub(crate) fn free_on(&mut self, pool: usize, addr: u64, ctx: &mut AllocCtx) {
+        self.pools[pool].free(addr, ctx);
+        debug_assert!(self.live > 0, "free with no live blocks");
+        self.live -= 1;
+    }
+
+    /// What pool `pool` normally occupies for a `size`-byte request
+    /// (see [`Pool::nominal_occupied`]).
+    pub(crate) fn nominal_occupied(&self, pool: usize, size: u32) -> u32 {
+        self.pools[pool].nominal_occupied(size)
+    }
+
+    /// The index of the fallback pool.
+    pub(crate) fn fallback(&self) -> usize {
+        self.fallback
     }
 
     /// Frees the block starting at `addr`.
@@ -126,9 +161,7 @@ impl CompositeAllocator {
     /// Panics if `pool` is out of range or does not own `addr`.
     pub fn free_traced(&mut self, addr: u64, pool: PoolId, ctx: &mut AllocCtx) {
         ctx.count_op();
-        self.pools[pool as usize].free(addr, ctx);
-        debug_assert!(self.live > 0, "free with no live blocks");
-        self.live -= 1;
+        self.free_on(pool as usize, addr, ctx);
     }
 
     /// Number of pools composed.
@@ -152,7 +185,7 @@ impl CompositeAllocator {
     }
 
     /// The pool index a request of `size` bytes routes to first.
-    fn route(&self, size: u32) -> usize {
+    pub(crate) fn route(&self, size: u32) -> usize {
         if let Ok(i) = self.exact.binary_search_by_key(&size, |&(s, _)| s) {
             return self.exact[i].1;
         }

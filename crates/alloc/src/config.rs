@@ -32,7 +32,7 @@ pub enum Route {
 }
 
 /// The algorithmic identity and parameters of a pool.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Dedicated fixed-block pool (O(1), headerless).
     Fixed {

@@ -73,6 +73,13 @@ impl FootprintTracker {
     pub fn peaks(&self) -> &[u64] {
         &self.peak_per_level
     }
+
+    /// Forgets every reservation and peak.
+    fn reset(&mut self) {
+        self.reserved.fill(0);
+        self.peak_per_level.fill(0);
+        self.peak_total = 0;
+    }
 }
 
 /// The accounting context threaded through every allocator call.
@@ -125,6 +132,30 @@ impl AllocCtx {
     #[inline]
     pub fn count_op(&mut self) {
         self.ops += 1;
+    }
+
+    /// Zeroes the context in place for a new run over the same number of
+    /// levels.
+    pub(crate) fn reset(&mut self) {
+        self.counters.reset();
+        self.meta_counters.reset();
+        self.ops = 0;
+        self.footprint.reset();
+    }
+
+    /// Adds everything `other` charged into `self`. Footprint folds in as
+    /// `other`'s final per-level reservations: no pool ever releases a
+    /// reservation, so reserved bytes only grow and every peak is a
+    /// final sum — in whichever order the contexts are combined.
+    pub(crate) fn absorb(&mut self, other: &AllocCtx) {
+        self.counters.merge(&other.counters);
+        self.meta_counters.merge(&other.meta_counters);
+        self.ops += other.ops;
+        for (i, &bytes) in other.footprint.reserved.iter().enumerate() {
+            if bytes > 0 {
+                self.footprint.grow(LevelId(i as u16), bytes);
+            }
+        }
     }
 }
 

@@ -64,6 +64,7 @@ mod ctx;
 mod error;
 mod freelist;
 mod freemap;
+mod memo;
 mod policy;
 pub mod pool;
 mod sim;
@@ -75,6 +76,7 @@ pub use ctx::{AllocCtx, FootprintTracker};
 pub use error::{AllocError, BuildError};
 pub use freelist::FreeList;
 pub use freemap::FreeMap;
+pub use memo::PoolMemo;
 pub use policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
 pub use pool::PoolStats;
 pub use sim::{ContentionParams, SimArena, SimMetrics, Simulator};

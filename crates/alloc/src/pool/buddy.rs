@@ -202,6 +202,11 @@ impl Pool for BuddyPool {
         ctx.meta_write(self.level, 2); // freed header + list head
     }
 
+    /// The order's block size; 0 for a size this pool can never serve.
+    fn nominal_occupied(&self, size: u32) -> u32 {
+        self.order_for(size).map_or(0, |order| 1u32 << order)
+    }
+
     fn level(&self) -> LevelId {
         self.level
     }

@@ -59,6 +59,15 @@ impl FixedBlockPool {
     pub fn reserved_bytes(&self) -> u64 {
         self.chunks.iter().map(|c| c.size).sum()
     }
+
+    /// `true` if `addr` lies in one of this pool's chunks: a binary
+    /// search, since per-level regions are carved in ascending address
+    /// order and `chunks` is therefore base-sorted.
+    fn owns(&self, addr: u64) -> bool {
+        let i = self.chunks.partition_point(|c| c.base <= addr);
+        i.checked_sub(1)
+            .is_some_and(|ci| self.chunks[ci].contains(addr))
+    }
 }
 
 impl Pool for FixedBlockPool {
@@ -112,7 +121,7 @@ impl Pool for FixedBlockPool {
 
     fn free(&mut self, addr: u64, ctx: &mut AllocCtx) {
         assert!(
-            self.chunks.iter().any(|c| c.contains(addr)),
+            self.owns(addr),
             "free of address {addr:#x} not owned by this fixed pool"
         );
         assert!(self.live > 0, "free with no live blocks");
@@ -121,6 +130,10 @@ impl Pool for FixedBlockPool {
         ctx.meta_write(self.level, 2);
         self.free.push(addr);
         self.live -= 1;
+    }
+
+    fn nominal_occupied(&self, _size: u32) -> u32 {
+        self.slot_size
     }
 
     fn level(&self) -> LevelId {
@@ -164,10 +177,7 @@ impl Pool for FixedBlockPool {
         seen.dedup();
         assert_eq!(before, seen.len(), "duplicate addresses on the free list");
         for addr in &self.free {
-            assert!(
-                self.chunks.iter().any(|c| c.contains(*addr)),
-                "free-list address outside pool chunks"
-            );
+            assert!(self.owns(*addr), "free-list address outside pool chunks");
         }
     }
 }

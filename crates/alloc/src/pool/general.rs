@@ -654,6 +654,10 @@ impl Pool for GeneralPool {
         }
     }
 
+    fn nominal_occupied(&self, size: u32) -> u32 {
+        self.alloc_size(size)
+    }
+
     fn level(&self) -> LevelId {
         self.level
     }

@@ -132,6 +132,10 @@ impl Pool for RegionPool {
         }
     }
 
+    fn nominal_occupied(&self, size: u32) -> u32 {
+        align_up(size, 8)
+    }
+
     fn level(&self) -> LevelId {
         self.level
     }

@@ -282,6 +282,14 @@ impl Pool for SegregatedPool {
         self.live -= 1;
     }
 
+    /// The class slot, or the 8-aligned size of a large object.
+    fn nominal_occupied(&self, size: u32) -> u32 {
+        match self.class_of(size) {
+            Some(ci) => self.classes[ci],
+            None => align_up(size, 8),
+        }
+    }
+
     fn level(&self) -> LevelId {
         self.level
     }

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use dmx_memhier::{CostModel, CostParams, CounterSet, MemoryHierarchy};
+use dmx_memhier::{CostModel, CostParams, CounterSet, LevelId, MemoryHierarchy};
 use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
 
 use crate::block::BlockInfo;
@@ -29,6 +29,7 @@ use crate::composite::{CompositeAllocator, PoolId};
 use crate::config::AllocatorConfig;
 use crate::ctx::AllocCtx;
 use crate::error::BuildError;
+use crate::memo::{ExceptionCursor, Exceptions, PoolMemo, PoolOutcome, Rerun, SizeTable};
 
 /// Everything measured during one simulated run.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,14 +236,19 @@ type SlabEntry = Option<(BlockInfo, PoolId)>;
 
 /// Reusable per-worker simulation scratch state.
 ///
-/// The only allocation the replay kernel needs that scales with the
-/// workload is the live-block slab (`max_live_slots` entries). A worker
-/// keeps one arena across all the genomes it evaluates; each run resets
-/// the slab in place instead of reallocating, and the arena counts runs,
-/// reuses and events for the `--sim-stats` report.
+/// The only allocations the replay kernel needs that scale with the
+/// workload are the live-block slab (`max_live_slots` entries) and one
+/// accounting context per pool. A worker keeps one arena across all the
+/// genomes it evaluates; each run resets both in place instead of
+/// reallocating, and the arena counts runs, reuses and events for the
+/// `--sim-stats` report.
 #[derive(Debug, Default)]
 pub struct SimArena {
     slab: Vec<SlabEntry>,
+    /// One accounting context per pool of the current run: every pool
+    /// charges its own, and the kernel folds them into the run's totals
+    /// at the end (and hands a simulated pool's context to the memo).
+    pool_ctxs: Vec<AllocCtx>,
     runs: u64,
     reuses: u64,
     events: u64,
@@ -270,20 +276,240 @@ impl SimArena {
         self.events
     }
 
-    /// Readies the slab for a run needing `slots` entries, reusing the
-    /// existing allocation when it is big enough.
-    fn prepare(&mut self, slots: usize) -> &mut [SlabEntry] {
+    /// Counts one run of `trace` (a rerun of the same run is not
+    /// counted again).
+    fn count_run(&mut self, trace: &CompiledTrace) {
+        if self.runs > 0 && self.slab.len() >= trace.max_live_slots() as usize {
+            self.reuses += 1;
+        }
+        self.runs += 1;
+        self.events += trace.len() as u64;
+    }
+
+    /// Readies the slab for `slots` entries and one zeroed context per
+    /// pool over `levels` levels, reusing the existing allocations.
+    fn reset(
+        &mut self,
+        slots: usize,
+        pools: usize,
+        levels: usize,
+    ) -> (&mut [SlabEntry], &mut [AllocCtx]) {
         if self.slab.len() >= slots {
-            if self.runs > 0 {
-                self.reuses += 1;
-            }
             self.slab[..slots].fill(None);
         } else {
             self.slab.clear();
             self.slab.resize(slots, None);
         }
-        self.runs += 1;
-        &mut self.slab[..slots]
+        for ctx in self.pool_ctxs.iter_mut().take(pools) {
+            if ctx.counters.len() == levels {
+                ctx.reset();
+            } else {
+                *ctx = AllocCtx::new(levels);
+            }
+        }
+        while self.pool_ctxs.len() < pools {
+            self.pool_ctxs.push(AllocCtx::new(levels));
+        }
+        (&mut self.slab[..slots], &mut self.pool_ctxs[..pools])
+    }
+}
+
+/// How the pools of a composite take part in a walk.
+/// [`Simulator::walk`] is instantiated once per implementation, so the
+/// all-live replay ([`AllLive`]) carries none of the memo's per-op
+/// branches.
+trait Lanes {
+    /// `true` if some pool is served from the memo, so a live pool's
+    /// refusal cannot be followed exactly.
+    fn memoized(&self) -> bool;
+
+    /// The pool the `ordinal`-th allocation, of `size` bytes, goes to
+    /// first.
+    fn route(&self, allocator: &CompositeAllocator, ordinal: usize, size: u32) -> usize;
+
+    /// `true` if pool `p` runs live.
+    fn live(&self, p: usize) -> bool;
+
+    /// Serves the `ordinal`-th allocation from memoized pool `p`: the
+    /// level its block is on and the bytes the block occupies.
+    fn serve(
+        &mut self,
+        allocator: &CompositeAllocator,
+        p: usize,
+        ordinal: usize,
+        size: u32,
+    ) -> (LevelId, u32);
+
+    /// Notes that live pool `p` served the `ordinal`-th allocation with
+    /// a block occupying `occupied` bytes.
+    fn note(
+        &mut self,
+        allocator: &CompositeAllocator,
+        p: usize,
+        ordinal: usize,
+        size: u32,
+        occupied: u32,
+    );
+
+    /// The stored outcomes of the memoized pools.
+    fn cached(&self) -> impl Iterator<Item = &PoolOutcome>;
+
+    /// Drops what the live pools recorded: a run with a spill or a
+    /// failure did not give its pools their own routed streams.
+    fn forget(&mut self);
+}
+
+/// Every pool live, nothing recorded.
+struct AllLive;
+
+impl Lanes for AllLive {
+    #[inline]
+    fn memoized(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn route(&self, allocator: &CompositeAllocator, _: usize, size: u32) -> usize {
+        allocator.route(size)
+    }
+
+    #[inline]
+    fn live(&self, _: usize) -> bool {
+        true
+    }
+
+    fn serve(&mut self, _: &CompositeAllocator, _: usize, _: usize, _: u32) -> (LevelId, u32) {
+        unreachable!("no pool is memoized in an all-live walk")
+    }
+
+    #[inline]
+    fn note(&mut self, _: &CompositeAllocator, _: usize, _: usize, _: u32, _: u32) {}
+
+    fn cached(&self) -> impl Iterator<Item = &PoolOutcome> {
+        std::iter::empty()
+    }
+
+    fn forget(&mut self) {}
+}
+
+/// The pools of a walk through a [`PoolMemo`]: each served from the
+/// memo or live, the live ones recording their occupancy exceptions
+/// when the memo wants their outcomes.
+struct MemoLanes<'m> {
+    lanes: Vec<Lane<'m>>,
+    /// Routing by allocation ordinal; `None` routes each request
+    /// through the composite.
+    table: Option<SizeTable<'m>>,
+    memoized: bool,
+}
+
+/// How one pool of the composite takes part in a memoized walk.
+#[derive(Debug, Default)]
+struct Lane<'m> {
+    /// `Some` when the pool is served from the memo instead of run.
+    cached: Option<Cached<'m>>,
+    /// `Some` when the pool runs live and the memo wants its outcome:
+    /// the occupancy exceptions so far.
+    record: Option<Exceptions>,
+    /// Allocations the pool has served so far (the exception ordinal).
+    allocs: u64,
+}
+
+/// A memoized pool: its stored outcome and where its occupancy
+/// exceptions stand.
+#[derive(Debug)]
+struct Cached<'m> {
+    outcome: &'m PoolOutcome,
+    cursor: ExceptionCursor<'m>,
+}
+
+impl<'m> MemoLanes<'m> {
+    fn new(lanes: Vec<Lane<'m>>, table: Option<SizeTable<'m>>) -> Self {
+        let memoized = lanes.iter().any(|l| l.cached.is_some());
+        MemoLanes {
+            lanes,
+            table,
+            memoized,
+        }
+    }
+
+    /// Pool `p`'s nominal occupancy for the `ordinal`-th allocation.
+    #[inline]
+    fn nominal(&self, allocator: &CompositeAllocator, p: usize, ordinal: usize, size: u32) -> u32 {
+        self.table
+            .as_ref()
+            .map_or_else(|| allocator.nominal_occupied(p, size), |t| t.get(ordinal).1)
+    }
+
+    /// What each live pool recorded, in composition order.
+    fn into_records(self) -> Vec<Option<Exceptions>> {
+        self.lanes.into_iter().map(|l| l.record).collect()
+    }
+}
+
+impl Lanes for MemoLanes<'_> {
+    #[inline]
+    fn memoized(&self) -> bool {
+        self.memoized
+    }
+
+    #[inline]
+    fn route(&self, allocator: &CompositeAllocator, ordinal: usize, size: u32) -> usize {
+        self.table
+            .as_ref()
+            .map_or_else(|| allocator.route(size), |t| t.get(ordinal).0)
+    }
+
+    #[inline]
+    fn live(&self, p: usize) -> bool {
+        self.lanes[p].cached.is_none()
+    }
+
+    #[inline]
+    fn serve(
+        &mut self,
+        allocator: &CompositeAllocator,
+        p: usize,
+        ordinal: usize,
+        size: u32,
+    ) -> (LevelId, u32) {
+        let nominal = self.nominal(allocator, p, ordinal, size);
+        let lane = &mut self.lanes[p];
+        let cached = lane.cached.as_mut().expect("a memoized pool");
+        let occupied = cached.cursor.occupied(lane.allocs, nominal);
+        lane.allocs += 1;
+        (cached.outcome.level, occupied)
+    }
+
+    #[inline]
+    fn note(
+        &mut self,
+        allocator: &CompositeAllocator,
+        p: usize,
+        ordinal: usize,
+        size: u32,
+        occupied: u32,
+    ) {
+        if self.lanes[p].record.is_some() {
+            let nominal = self.nominal(allocator, p, ordinal, size);
+            let lane = &mut self.lanes[p];
+            if let Some(record) = lane.record.as_mut() {
+                record.note(lane.allocs, nominal, occupied);
+            }
+        }
+        self.lanes[p].allocs += 1;
+    }
+
+    fn cached(&self) -> impl Iterator<Item = &PoolOutcome> {
+        self.lanes
+            .iter()
+            .filter_map(|l| l.cached.as_ref().map(|c| c.outcome))
+    }
+
+    fn forget(&mut self) {
+        for lane in &mut self.lanes {
+            lane.record = None;
+        }
     }
 }
 
@@ -337,8 +563,14 @@ impl<'h> Simulator<'h> {
     /// is disabled — the gate that keeps tid-0-only replays on the
     /// original hot path with provably zero contention cycles.
     fn contention_state(&self, threads: usize, pool_count: usize) -> Option<ContentionState> {
-        (threads > 1 && self.contention.window > 0)
+        self.charges_contention(threads)
             .then(|| ContentionState::new(self.contention, pool_count, threads))
+    }
+
+    /// `true` if a replay over `threads` dense thread indices charges
+    /// contention.
+    fn charges_contention(&self, threads: usize) -> bool {
+        threads > 1 && self.contention.window > 0
     }
 
     /// The platform this simulator models.
@@ -403,12 +635,13 @@ impl<'h> Simulator<'h> {
         self.replay(allocator, &CompiledTrace::compile(trace), &mut arena)
     }
 
-    /// The replay kernel. It walks only the allocator-op stream
-    /// ([`CompiledTrace::pool_ops`]); every op costs a slab index, never
-    /// a hash lookup. Work that does not depend on allocator state is
-    /// hoisted out of the loop: a block's lifetime application accesses
-    /// ([`CompiledTrace::alloc_reads`] / [`CompiledTrace::alloc_writes`])
-    /// are charged when it is placed, and the trace's compute ticks
+    /// The replay kernel with every pool live: a walk of the allocator-op
+    /// stream ([`CompiledTrace::pool_ops`]) in which every op costs a
+    /// slab index, never a hash lookup. Work that does not depend on
+    /// allocator state is hoisted out of the loop: a block's lifetime
+    /// application accesses ([`CompiledTrace::alloc_reads`] /
+    /// [`CompiledTrace::alloc_writes`]) are charged when it is placed,
+    /// and the trace's compute ticks
     /// ([`CompiledTrace::total_tick_cycles`]) once per run. Both charges
     /// are pure additive sums, so the metrics are byte-identical to
     /// charging every `Access` and `Tick` event in order.
@@ -425,19 +658,130 @@ impl<'h> Simulator<'h> {
         let _span = dmx_obs::span(dmx_obs::names::KERNEL, trace.len() as u64);
         dmx_obs::metrics().kernel_replays.incr();
         dmx_obs::metrics().kernel_events.add(trace.len() as u64);
-        let mut ctx = AllocCtx::new(self.hierarchy.len());
+        arena.count_run(trace);
+        self.walk_live(allocator, trace, arena)
+    }
+
+    /// Builds `config` and replays the compiled `trace` through `arena`,
+    /// serving every pool whose outcome `memo` already holds instead of
+    /// simulating it, and storing the outcomes of the pools it does
+    /// simulate. The metrics are byte-identical to [`Self::run_in_arena`]:
+    /// a run whose memoized pools cannot be vouched for — a live pool
+    /// refused an allocation, or the pools' reservations overrun a
+    /// level — is replayed again with every pool live. Threaded replays
+    /// that charge contention bypass the memo (their tail latency is a
+    /// percentile over every pool's ops).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memo` was created for another hierarchy or trace.
+    pub fn run_memo(
+        &self,
+        config: &AllocatorConfig,
+        trace: &CompiledTrace,
+        arena: &mut SimArena,
+        memo: &mut PoolMemo,
+    ) -> Result<SimMetrics, BuildError> {
+        let mut allocator = config.build(self.hierarchy)?;
+        if self.charges_contention(trace.thread_ids().len()) {
+            return Ok(self.replay(&mut allocator, trace, arena));
+        }
+        memo.bind(self.hierarchy, trace);
+        let _span = dmx_obs::span(dmx_obs::names::KERNEL, trace.len() as u64);
+        dmx_obs::metrics().kernel_replays.incr();
+        dmx_obs::metrics().kernel_events.add(trace.len() as u64);
+        arena.count_run(trace);
+
+        let (keys, table) = memo.plan(config, &allocator);
+        let room = memo.room();
+        let lanes: Vec<Lane<'_>> = keys
+            .iter()
+            .map(|key| match memo.get(key) {
+                Some(outcome) => Lane {
+                    cached: Some(Cached {
+                        outcome,
+                        cursor: outcome.cursor(),
+                    }),
+                    ..Lane::default()
+                },
+                None => Lane {
+                    record: Some(Exceptions::with_cap(room)),
+                    ..Lane::default()
+                },
+            })
+            .collect();
+        let served = lanes.iter().filter(|l| l.cached.is_some()).count();
+        let mut lanes = MemoLanes::new(lanes, table);
+        let walked = self.walk(&mut allocator, trace, arena, &mut lanes);
+        let recorded = lanes.into_records();
+        match walked {
+            Ok(metrics) => {
+                memo.count(served, keys.len() - served, None);
+                for (p, (key, record)) in keys.into_iter().zip(recorded).enumerate() {
+                    if let Some(exceptions) = record {
+                        memo.store(key, &arena.pool_ctxs[p], exceptions);
+                    }
+                }
+                Ok(metrics)
+            }
+            Err(cause) => {
+                memo.count(0, keys.len(), Some(cause));
+                // The aborted walk's pools go before the rerun builds
+                // their replacements.
+                drop(allocator);
+                let mut fresh = config.build(self.hierarchy)?;
+                Ok(self.walk_live(&mut fresh, trace, arena))
+            }
+        }
+    }
+
+    /// A walk with every pool live and nothing recorded, which never
+    /// asks for a rerun.
+    fn walk_live(
+        &self,
+        allocator: &mut CompositeAllocator,
+        trace: &CompiledTrace,
+        arena: &mut SimArena,
+    ) -> SimMetrics {
+        self.walk(allocator, trace, arena, &mut AllLive)
+            .expect("a walk with every pool live never asks for a rerun")
+    }
+
+    /// The one replay loop. Live pools run and charge their own context
+    /// in the arena; a pool `lanes` serves from the memo is not run at
+    /// all — the walk still routes, counts and places its requests (its
+    /// blocks occupy the nominal size unless the memo stored an
+    /// exception) and adds its stored charges at the end. Live pools'
+    /// occupancies go to `lanes` to record as they go; a run with a
+    /// spill or a failure drops the records.
+    fn walk<L: Lanes>(
+        &self,
+        allocator: &mut CompositeAllocator,
+        trace: &CompiledTrace,
+        arena: &mut SimArena,
+        lanes: &mut L,
+    ) -> Result<SimMetrics, Rerun> {
+        let levels = self.hierarchy.len();
+        let pools = allocator.pool_count();
+        // Application accesses and op counts; pools charge `pool_ctxs`.
+        let mut ctx = AllocCtx::new(levels);
         let mut allocs = 0u64;
         let mut frees = 0u64;
         let mut failures = 0u64;
         let mut live_internal_frag = 0u64;
         let mut peak_internal_frag = 0u64;
-        let mut contention =
-            self.contention_state(trace.thread_ids().len(), allocator.pool_count());
+        let mut contention = self.contention_state(trace.thread_ids().len(), pools);
+        let fallback = allocator.fallback();
+        let mut spilled = false;
         let sizes = trace.alloc_sizes();
         let reads = trace.alloc_reads();
         let writes = trace.alloc_writes();
         let op_threads = trace.op_threads();
-        let slab = arena.prepare(trace.max_live_slots() as usize);
+        let (slab, pool_ctxs) = arena.reset(trace.max_live_slots() as usize, pools, levels);
         let mut ordinal = 0usize;
 
         for (op_idx, &op) in trace.pool_ops().iter().enumerate() {
@@ -445,7 +789,11 @@ impl<'h> Simulator<'h> {
             if op.is_free() {
                 if let Some((info, pool)) = entry.take() {
                     live_internal_frag -= u64::from(info.internal_fragmentation());
-                    allocator.free_traced(info.addr, pool, &mut ctx);
+                    ctx.count_op();
+                    let p = pool as usize;
+                    if lanes.live(p) {
+                        allocator.free_on(p, info.addr, &mut pool_ctxs[p]);
+                    }
                     if let Some(c) = contention.as_mut() {
                         c.charge(pool, op_threads[op_idx]);
                     }
@@ -454,28 +802,86 @@ impl<'h> Simulator<'h> {
             } else {
                 let size = sizes[ordinal];
                 let (block_reads, block_writes) = (reads[ordinal], writes[ordinal]);
+                ctx.count_op();
+                let p = lanes.route(allocator, ordinal, size);
+                let placed = if lanes.live(p) {
+                    match allocator.alloc_on(p, size, &mut pool_ctxs[p]) {
+                        Ok(info) => {
+                            lanes.note(allocator, p, ordinal, size, info.occupied);
+                            Some((info, p))
+                        }
+                        Err(_) if lanes.memoized() => return Err(Rerun::Spill),
+                        // Dedicated pools that cannot serve overflow to
+                        // the fallback, as the paper's allocators do.
+                        Err(_) => {
+                            spilled = true;
+                            (p != fallback)
+                                .then(|| {
+                                    allocator.alloc_on(fallback, size, &mut pool_ctxs[fallback])
+                                })
+                                .and_then(Result::ok)
+                                .map(|info| (info, fallback))
+                        }
+                    }
+                } else {
+                    let (level, occupied) = lanes.serve(allocator, p, ordinal, size);
+                    let info = BlockInfo {
+                        addr: 0,
+                        level,
+                        requested: size,
+                        occupied,
+                    };
+                    Some((info, p))
+                };
                 ordinal += 1;
-                match allocator.alloc_traced(size, &mut ctx) {
-                    Ok((info, pool)) => {
+                match placed {
+                    Some((info, pool)) => {
                         allocs += 1;
                         live_internal_frag += u64::from(info.internal_fragmentation());
                         peak_internal_frag = peak_internal_frag.max(live_internal_frag);
                         ctx.app_access(info.level, block_reads, block_writes);
                         if let Some(c) = contention.as_mut() {
-                            c.charge(pool, op_threads[op_idx]);
+                            c.charge(pool as PoolId, op_threads[op_idx]);
                         }
                         debug_assert!(entry.is_none(), "slot already live");
-                        *entry = Some((info, pool));
+                        *entry = Some((info, pool as PoolId));
                     }
-                    // The block never materializes and no pool was
-                    // touched, so no contention is charged.
-                    Err(_) => failures += 1,
+                    // The block never materializes and no pool kept it,
+                    // so no contention is charged.
+                    None => failures += 1,
                 }
             }
         }
-        arena.events += trace.len() as u64;
 
-        self.finish(
+        if lanes.memoized() {
+            let mut need = vec![0u64; levels];
+            for outcome in lanes.cached() {
+                need[outcome.level.index()] += outcome.reserved;
+            }
+            let regions = allocator.regions();
+            if need
+                .iter()
+                .enumerate()
+                .any(|(i, &bytes)| bytes > regions.available(LevelId(i as u16)))
+            {
+                return Err(Rerun::Capacity);
+            }
+        }
+        for pool_ctx in pool_ctxs.iter() {
+            ctx.absorb(pool_ctx);
+        }
+        for outcome in lanes.cached() {
+            ctx.meta_read(outcome.level, outcome.reads);
+            ctx.meta_write(outcome.level, outcome.writes);
+            if outcome.reserved > 0 {
+                ctx.footprint.grow(outcome.level, outcome.reserved);
+            }
+        }
+        if spilled {
+            lanes.forget();
+        }
+
+        Ok(self.finish(
             ctx,
             OpTallies {
                 allocs,
@@ -485,7 +891,7 @@ impl<'h> Simulator<'h> {
                 peak_internal_frag,
             },
             contention,
-        )
+        ))
     }
 
     /// The original hash-map interpreter over the uncompiled trace, event
@@ -617,6 +1023,7 @@ impl<'h> Simulator<'h> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{PoolKind, PoolSpec, Route};
     use crate::policy::{CoalescePolicy, FitPolicy, FreeOrder, SplitPolicy};
     use dmx_memhier::presets;
     use dmx_trace::gen::{ramp, EasyportConfig, TraceGenerator, VtcConfig};
@@ -1104,6 +1511,257 @@ mod tests {
             };
             proptest::prop_assert_eq!(c.tail_latency(cpu), tail);
         }
+    }
+
+    /// Configurations sharing pools with each other: the same dedicated
+    /// pools under different general pools, and the same general pool
+    /// under different dedicated placements.
+    fn overlapping_configs(hier: &MemoryHierarchy) -> Vec<AllocatorConfig> {
+        let mut configs = Vec::new();
+        for fit in [FitPolicy::FirstFit, FitPolicy::BestFit] {
+            for coalesce in [CoalescePolicy::Never, CoalescePolicy::Immediate] {
+                let general = PoolSpec::general(
+                    hier.slowest(),
+                    fit,
+                    FreeOrder::Lifo,
+                    coalesce,
+                    SplitPolicy::MinRemainder(16),
+                );
+                configs.push(AllocatorConfig {
+                    pools: vec![general.clone()],
+                });
+                for level in [hier.fastest(), hier.slowest()] {
+                    configs.push(AllocatorConfig {
+                        pools: vec![
+                            PoolSpec::fixed(74, level),
+                            PoolSpec::fixed(1500, hier.slowest()),
+                            general.clone(),
+                        ],
+                    });
+                }
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn memo_replays_match_reference_and_serve_repeated_pools() {
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = EasyportConfig::small().generate(4);
+        let compiled = CompiledTrace::compile_shared(&trace);
+        let mut arena = SimArena::new();
+        let mut memo = PoolMemo::new(&hier, &compiled);
+        let configs = overlapping_configs(&hier);
+        for round in 0..2 {
+            for cfg in &configs {
+                let reference = sim.run_reference(cfg, &trace).unwrap();
+                let got = sim.run_memo(cfg, &compiled, &mut arena, &mut memo).unwrap();
+                assert_eq!(got, reference, "round {round}: {}", cfg.label());
+            }
+        }
+        assert_eq!(arena.runs(), 2 * configs.len() as u64, "one run per replay");
+        assert!(
+            memo.served() > memo.simulated(),
+            "pools repeat across configs"
+        );
+        assert_eq!(
+            memo.served() + memo.simulated(),
+            2 * configs.iter().map(|c| c.pools.len() as u64).sum::<u64>()
+        );
+        assert_eq!(memo.reruns(), 0);
+        // The second round simulates nothing at all.
+        let simulated = memo.simulated();
+        for cfg in &configs {
+            sim.run_memo(cfg, &compiled, &mut arena, &mut memo).unwrap();
+        }
+        assert_eq!(memo.simulated(), simulated);
+    }
+
+    #[test]
+    fn memo_without_exception_budget_still_matches() {
+        // A zero budget stores only outcomes without exceptions; pools
+        // with exceptions are simulated every time.
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = VtcConfig::small().generate(2);
+        let compiled = CompiledTrace::compile_shared(&trace);
+        let mut arena = SimArena::new();
+        let mut memo = PoolMemo::with_budget(&hier, &compiled, 0);
+        for cfg in overlapping_configs(&hier) {
+            let reference = sim.run_reference(&cfg, &trace).unwrap();
+            let got = sim
+                .run_memo(&cfg, &compiled, &mut arena, &mut memo)
+                .unwrap();
+            assert_eq!(got, reference, "{}", cfg.label());
+        }
+        assert_eq!(memo.exception_bytes(), 0);
+    }
+
+    #[test]
+    fn memo_reruns_when_a_live_pool_spills() {
+        // A range-routed buddy whose largest block is below its range
+        // refuses the big requests; once the fallback is memoized from a
+        // config whose range pool serves them, the refusal is a spill the
+        // memoized fallback never saw, and the run is replayed live.
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = EasyportConfig::small().generate(6);
+        let compiled = CompiledTrace::compile_shared(&trace);
+        let main = hier.slowest();
+        let general = PoolSpec::general(
+            main,
+            FitPolicy::FirstFit,
+            FreeOrder::Lifo,
+            CoalescePolicy::Never,
+            SplitPolicy::Never,
+        );
+        let ranged = |kind| AllocatorConfig {
+            pools: vec![
+                PoolSpec {
+                    route: Route::Range { min: 1, max: 2048 },
+                    kind,
+                    level: main,
+                },
+                general.clone(),
+            ],
+        };
+        let serving = ranged(PoolKind::Buddy {
+            min_order: 5,
+            max_order: 12,
+        });
+        let refusing = ranged(PoolKind::Buddy {
+            min_order: 5,
+            max_order: 8,
+        });
+        let mut arena = SimArena::new();
+        let mut memo = PoolMemo::new(&hier, &compiled);
+        for cfg in [&serving, &refusing, &refusing] {
+            let reference = sim.run_reference(cfg, &trace).unwrap();
+            let got = sim.run_memo(cfg, &compiled, &mut arena, &mut memo).unwrap();
+            assert_eq!(got, reference, "{}", cfg.label());
+        }
+        assert_eq!(memo.spill_reruns(), 2, "both refusing runs rerun");
+        assert_eq!(memo.capacity_reruns(), 0);
+        assert_eq!(arena.runs(), 3, "a rerun is not a second run");
+    }
+
+    #[test]
+    fn memo_reruns_when_reservations_overrun_a_level() {
+        // Two dedicated pools that each fit a 4 KiB scratchpad alone but
+        // not together: with one of them memoized, the walk cannot see
+        // the overrun and must rerun.
+        use dmx_memhier::{LevelKind, MemoryLevel};
+        let hier = MemoryHierarchy::new(vec![
+            MemoryLevel::builder("sp", LevelKind::Scratchpad)
+                .capacity(4096)
+                .build(),
+            MemoryLevel::builder("main", LevelKind::Dram)
+                .capacity(1 << 20)
+                .build(),
+        ])
+        .unwrap();
+        let sim = Simulator::new(&hier);
+        let mut events = Vec::new();
+        for i in 0..20u64 {
+            events.push(TraceEvent::alloc(BlockId(i), 74));
+        }
+        events.push(TraceEvent::alloc(BlockId(20), 1500));
+        for i in 0..21u64 {
+            events.push(TraceEvent::free(BlockId(i)));
+        }
+        let trace = Trace::from_events("overrun", events).unwrap();
+        let compiled = CompiledTrace::compile_shared(&trace);
+        let (sp, main) = (hier.fastest(), hier.slowest());
+        let fixed = |size, chunk_blocks| PoolSpec {
+            route: Route::Exact(size),
+            kind: PoolKind::Fixed {
+                block_size: size,
+                chunk_blocks,
+            },
+            level: sp,
+        };
+        let general = PoolSpec::general(
+            main,
+            FitPolicy::FirstFit,
+            FreeOrder::Lifo,
+            CoalescePolicy::Never,
+            SplitPolicy::Never,
+        );
+        let alone = AllocatorConfig {
+            pools: vec![fixed(74, 16), general.clone()],
+        };
+        let together = AllocatorConfig {
+            pools: vec![fixed(74, 16), fixed(1500, 2), general],
+        };
+        let mut arena = SimArena::new();
+        let mut memo = PoolMemo::new(&hier, &compiled);
+        for cfg in [&alone, &together] {
+            let reference = sim.run_reference(cfg, &trace).unwrap();
+            let got = sim.run_memo(cfg, &compiled, &mut arena, &mut memo).unwrap();
+            assert_eq!(got, reference, "{}", cfg.label());
+        }
+        assert_eq!(memo.capacity_reruns(), 1);
+        assert_eq!(memo.spill_reruns(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not created for")]
+    fn memo_is_bound_to_its_trace() {
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let a = CompiledTrace::compile_shared(&ramp(10, 32));
+        let b = CompiledTrace::compile_shared(&ramp(20, 32));
+        let mut memo = PoolMemo::new(&hier, &a);
+        let mut arena = SimArena::new();
+        let _ = sim.run_memo(&baseline(&hier), &b, &mut arena, &mut memo);
+    }
+
+    #[test]
+    #[should_panic(expected = "not created for")]
+    fn memo_rejects_a_trace_of_the_same_shape() {
+        // Same length and allocation count, other sizes: only the
+        // trace's identity tells the two apart.
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let a = CompiledTrace::compile_shared(&ramp(10, 32));
+        let b = CompiledTrace::compile_shared(&ramp(10, 64));
+        assert_eq!((a.len(), a.allocs()), (b.len(), b.allocs()));
+        let mut memo = PoolMemo::new(&hier, &a);
+        let mut arena = SimArena::new();
+        sim.run_memo(&baseline(&hier), &a, &mut arena, &mut memo)
+            .unwrap();
+        let _ = sim.run_memo(&baseline(&hier), &b, &mut arena, &mut memo);
+    }
+
+    #[test]
+    #[should_panic(expected = "not created for")]
+    fn memo_rejects_a_platform_with_other_capacities() {
+        let small = presets::sp64k_dram4m();
+        let big = presets::sp256k_dram4m();
+        let trace = CompiledTrace::compile_shared(&ramp(10, 32));
+        let mut memo = PoolMemo::new(&small, &trace);
+        let mut arena = SimArena::new();
+        let _ = Simulator::new(&big).run_memo(&baseline(&big), &trace, &mut arena, &mut memo);
+    }
+
+    #[test]
+    fn memo_is_bypassed_when_contention_is_charged() {
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = cross_thread_trace();
+        let compiled = CompiledTrace::compile_shared(&trace);
+        let mut arena = SimArena::new();
+        let mut memo = PoolMemo::new(&hier, &compiled);
+        for cfg in [baseline(&hier), baseline(&hier)] {
+            let reference = sim.run_reference(&cfg, &trace).unwrap();
+            let got = sim
+                .run_memo(&cfg, &compiled, &mut arena, &mut memo)
+                .unwrap();
+            assert_eq!(got, reference);
+        }
+        assert_eq!(memo.served() + memo.simulated(), 0, "memo untouched");
+        assert!(memo.is_empty());
     }
 
     #[test]

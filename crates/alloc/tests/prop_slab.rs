@@ -18,8 +18,8 @@ use proptest::prelude::*;
 
 use dmx_alloc::pool::{BuddyPool, Pool, RegionPool, SegregatedPool};
 use dmx_alloc::{
-    AllocCtx, AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, PoolKind, PoolSpec, Route,
-    SimArena, Simulator, SplitPolicy,
+    AllocCtx, AllocatorConfig, CoalescePolicy, FitPolicy, FreeOrder, PoolKind, PoolMemo, PoolSpec,
+    Route, SimArena, Simulator, SplitPolicy,
 };
 use dmx_memhier::{presets, LevelId, RegionTable};
 use dmx_trace::{BlockId, CompiledTrace, Trace, TraceEvent};
@@ -239,6 +239,39 @@ fn relabel_tids(trace: &Trace, relabel: impl Fn(u32) -> u32) -> Trace {
     Trace::from_events(trace.name(), events).unwrap()
 }
 
+/// `config` plus pools no request can reach: a dedicated pool for a
+/// size above every size `arb_ops` draws, and — when `config` routes
+/// exact sizes — a one-size range pool shadowed by one of those routes.
+/// Unreached pools reserve nothing and charge nothing.
+fn with_unreachable_pools(config: &AllocatorConfig, fast: LevelId) -> AllocatorConfig {
+    let mut pools = config.pools.clone();
+    pools.insert(0, PoolSpec::fixed(UNDRAWN_SIZE, fast));
+    let shadowing = config.pools.iter().find_map(|p| match p.route {
+        Route::Exact(size) => Some(size),
+        _ => None,
+    });
+    if let Some(size) = shadowing {
+        pools.insert(
+            0,
+            PoolSpec {
+                route: Route::Range {
+                    min: size,
+                    max: size,
+                },
+                kind: PoolKind::Buddy {
+                    min_order: 4,
+                    max_order: 12,
+                },
+                level: fast,
+            },
+        );
+    }
+    AllocatorConfig { pools }
+}
+
+/// A request size no `arb_ops` script below draws.
+const UNDRAWN_SIZE: u32 = 4001;
+
 fn kernel_configs(hier: &dmx_memhier::MemoryHierarchy) -> Vec<AllocatorConfig> {
     let main = hier.slowest();
     vec![
@@ -454,6 +487,46 @@ proptest! {
                     sim.run_compiled(&config, &base_prefix).unwrap(),
                     "prefix metrics move under relabeling for {}",
                     config.label()
+                );
+            }
+        }
+    }
+
+    /// Metamorphic relation the pool memo relies on: pools no request
+    /// reaches are inert. Adding a dedicated pool for a size the trace
+    /// never allocates, or a range fully shadowed by exact routes, leaves
+    /// the reference interpreter's, the kernel's and a warm memo's
+    /// metrics unchanged.
+    #[test]
+    fn metrics_invariant_under_unreachable_pools(ops in arb_ops(2500, 200)) {
+        let hier = presets::sp64k_dram4m();
+        let sim = Simulator::new(&hier);
+        let trace = trace_from_ops(&ops);
+        let compiled = CompiledTrace::compile_shared(&trace);
+        let mut arena = SimArena::new();
+        let mut memo = PoolMemo::new(&hier, &compiled);
+        for config in kernel_configs(&hier) {
+            let padded = with_unreachable_pools(&config, hier.fastest());
+            prop_assert!(padded.pools.len() > config.pools.len());
+            let base = sim.run_reference(&config, &trace).unwrap();
+            prop_assert_eq!(
+                &sim.run_reference(&padded, &trace).unwrap(),
+                &base,
+                "reference metrics move with unreachable pools in {}",
+                padded.label()
+            );
+            prop_assert_eq!(
+                &sim.run_in_arena(&padded, &compiled, &mut arena).unwrap(),
+                &base,
+                "kernel metrics move with unreachable pools in {}",
+                padded.label()
+            );
+            for run in [&config, &padded] {
+                prop_assert_eq!(
+                    &sim.run_memo(run, &compiled, &mut arena, &mut memo).unwrap(),
+                    &base,
+                    "memo metrics move with unreachable pools in {}",
+                    run.label()
                 );
             }
         }

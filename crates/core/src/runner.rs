@@ -1,7 +1,7 @@
 //! Parallel exploration driver: simulate every configuration of a space
 //! against one workload trace.
 
-use dmx_alloc::{AllocatorConfig, BuildError, SimArena, SimMetrics, Simulator};
+use dmx_alloc::{AllocatorConfig, BuildError, SimMetrics};
 use dmx_memhier::MemoryHierarchy;
 use dmx_profile::ProfileRecord;
 use dmx_trace::{CompiledTrace, Trace};
@@ -10,7 +10,7 @@ use crate::objective::Objective;
 use crate::param::ParamSpace;
 use crate::pareto::{pareto_front, ParetoSet};
 use crate::search::{
-    fan_out, EvalInstance, FidelityPlan, SearchContext, SearchOutcome, SearchStrategy,
+    fan_out, EvalInstance, FidelityPlan, ReplayState, SearchContext, SearchOutcome, SearchStrategy,
 };
 use crate::space::GenomeSpace;
 
@@ -201,14 +201,14 @@ impl<'h> Explorer<'h> {
         configs: Vec<AllocatorConfig>,
         trace: &Trace,
     ) -> Result<Exploration, BuildError> {
-        let sim = Simulator::new(self.hierarchy);
         // Compile once; every worker replays the same lowered stream
-        // through its own reusable arena.
-        let compiled = CompiledTrace::compile(trace);
-        let mut arenas: Vec<SimArena> = (0..self.threads).map(|_| SimArena::new()).collect();
-        let results = fan_out(&mut arenas, configs.len(), |i, arena| {
+        // through its own reusable arena and pool memo.
+        let compiled = CompiledTrace::compile_shared(trace);
+        let mut states: Vec<ReplayState> =
+            (0..self.threads).map(|_| ReplayState::default()).collect();
+        let results = fan_out(&mut states, configs.len(), |i, state| {
             let config = &configs[i];
-            let metrics = sim.run_in_arena(config, &compiled, arena)?;
+            let metrics = state.run_full(0, self.hierarchy, &compiled, config)?;
             Ok(RunResult {
                 config: config.clone(),
                 label: config.label(),

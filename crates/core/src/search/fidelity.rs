@@ -574,12 +574,12 @@ impl<'a> MultiFidelityEvaluator<'a> {
             })
             .cloned()
             .collect();
-        let workloads: Vec<(&MemoryHierarchy, &CompiledTrace)> = rung
+        let workloads: Vec<(&MemoryHierarchy, &Arc<CompiledTrace>)> = rung
             .iter()
             .zip(self.instances)
-            .map(|(pi, inst)| (inst.hierarchy, &*pi.trace))
+            .map(|(pi, inst)| (inst.hierarchy, &pi.trace))
             .collect();
-        let results = workers.simulate(self.space, &workloads, &todo);
+        let results = workers.simulate(self.space, &workloads, &todo, false);
         let keys = rung
             .iter()
             .flat_map(|pi| todo.iter().map(move |g| (pi.id, g)));

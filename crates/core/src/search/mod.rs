@@ -78,14 +78,14 @@ pub use genetic::GeneticSearch;
 pub use hillclimb::HillClimbSearch;
 pub use island::{IslandKind, IslandSearch, IslandStats, Migration};
 
-pub(crate) use queue::fan_out;
+pub(crate) use queue::{fan_out, ReplayState};
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dmx_alloc::{SimArena, Simulator};
+use dmx_alloc::Simulator;
 use dmx_memhier::MemoryHierarchy;
 use dmx_trace::{CompiledTrace, Trace};
 
@@ -296,6 +296,16 @@ pub struct SimStats {
     pub batch_runs: u64,
     /// Wall-clock nanoseconds spent inside simulation fan-outs.
     pub nanos: u64,
+    /// Pools of full-trace replays served from the workers' pool memos
+    /// instead of simulated. Like `nanos`, this and the next two counters
+    /// depend on how jobs were spread over workers (each worker fills
+    /// its own memo), so they are not thread-invariant.
+    pub pools_served: u64,
+    /// Pools of full-trace replays simulated live (reruns included).
+    pub pools_simulated: u64,
+    /// Full-trace replays rerun with every pool live because a memoized
+    /// pool could not be vouched for (a spill or a capacity overrun).
+    pub memo_reruns: u64,
 }
 
 impl SimStats {
@@ -316,12 +326,16 @@ impl SimStats {
     pub fn render(&self, cache_hits: usize) -> String {
         format!(
             "sim stats: {} events replayed in {} simulator runs, \
-             {:.0} events/sec, {} arena reuses, {} cache hits",
+             {:.0} events/sec, {} arena reuses, {} cache hits, \
+             {} pools served from the memo, {} pools simulated, {} memo reruns",
             self.events,
             self.runs,
             self.events_per_sec(),
             self.arena_reuses,
             cache_hits,
+            self.pools_served,
+            self.pools_simulated,
+            self.memo_reruns,
         )
     }
 }
@@ -478,44 +492,52 @@ pub struct Evaluator<'a> {
     fidelity: Option<MultiFidelityEvaluator<'a>>,
 }
 
-/// One [`SimArena`] per evaluation worker, owned across batches so the
-/// slabs stay warm for full and prefix replays alike, plus the wall time
-/// spent replaying.
+/// One [`ReplayState`] per evaluation worker, owned across batches so
+/// the arenas stay warm for full and prefix replays alike and the pool
+/// memos fill up over the whole search, plus the wall time spent
+/// replaying.
 #[derive(Debug)]
 struct Workers {
-    arenas: Mutex<Vec<SimArena>>,
+    states: Mutex<Vec<ReplayState>>,
     nanos: AtomicU64,
 }
 
 impl Workers {
     fn new(threads: usize) -> Self {
         Workers {
-            arenas: Mutex::new((0..threads).map(|_| SimArena::new()).collect()),
+            states: Mutex::new((0..threads).map(|_| ReplayState::default()).collect()),
             nanos: AtomicU64::new(0),
         }
     }
 
     /// Simulates every genome on every workload through the worker
     /// fan-out. Job `k * genomes.len() + i` replays genome `i` on
-    /// workload `k`; the results come back in that order.
+    /// workload `k`; the results come back in that order. With
+    /// `full_trace` the workloads are the evaluator's instances, in
+    /// instance order, and replays go through each worker's pool memo
+    /// for workload `k`; prefix rungs pass `false` and replay plainly.
     fn simulate(
         &self,
         space: &dyn GenomeSpace,
-        workloads: &[(&MemoryHierarchy, &CompiledTrace)],
+        workloads: &[(&MemoryHierarchy, &Arc<CompiledTrace>)],
         genomes: &[Genome],
+        full_trace: bool,
     ) -> Vec<RunResult> {
         let n = genomes.len();
         if n == 0 {
             return Vec::new();
         }
-        let mut arenas = self.arenas.lock().expect("worker arenas poisoned");
+        let mut states = self.states.lock().expect("worker states poisoned");
         let start = std::time::Instant::now();
-        let results = fan_out(&mut arenas, workloads.len() * n, |j, arena| {
+        let results = fan_out(&mut states, workloads.len() * n, |j, state| {
             let (hierarchy, trace) = workloads[j / n];
             let config = space.config_at(hierarchy, &genomes[j % n]);
-            let metrics = Simulator::new(hierarchy)
-                .run_in_arena(&config, trace, arena)
-                .expect("space genomes materialize to valid configurations");
+            let metrics = if full_trace {
+                state.run_full(j / n, hierarchy, trace, &config)
+            } else {
+                Simulator::new(hierarchy).run_in_arena(&config, trace, &mut state.arena)
+            }
+            .expect("space genomes materialize to valid configurations");
             let label = config.label();
             RunResult {
                 config,
@@ -528,18 +550,25 @@ impl Workers {
         results
     }
 
-    /// Kernel counters summed over every worker arena. The kernel runs
-    /// one genome per pass, so passes equal runs.
+    /// Kernel and memo counters summed over every worker. The kernel
+    /// runs one genome per pass, so passes equal runs.
     fn stats(&self) -> SimStats {
-        let arenas = self.arenas.lock().expect("worker arenas poisoned");
-        let runs = arenas.iter().map(SimArena::runs).sum();
+        let states = self.states.lock().expect("worker states poisoned");
+        let runs = states.iter().map(|s| s.arena.runs()).sum();
+        let (pools_served, pools_simulated, memo_reruns) = states
+            .iter()
+            .map(ReplayState::memo_counts)
+            .fold((0, 0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1, acc.2 + c.2));
         SimStats {
-            events: arenas.iter().map(SimArena::events_replayed).sum(),
+            events: states.iter().map(|s| s.arena.events_replayed()).sum(),
             runs,
-            arena_reuses: arenas.iter().map(SimArena::reuses).sum(),
+            arena_reuses: states.iter().map(|s| s.arena.reuses()).sum(),
             batches: runs,
             batch_runs: runs,
             nanos: self.nanos.load(Ordering::Relaxed),
+            pools_served,
+            pools_simulated,
+            memo_reruns,
         }
     }
 }
@@ -667,12 +696,12 @@ impl<'a> Evaluator<'a> {
         dmx_obs::metrics().eval_fresh.add(fresh.len() as u64);
         dmx_obs::metrics().batch_fresh.record(fresh.len() as u64);
         if !fresh.is_empty() {
-            let workloads: Vec<(&MemoryHierarchy, &CompiledTrace)> = self
+            let workloads: Vec<(&MemoryHierarchy, &Arc<CompiledTrace>)> = self
                 .instances
                 .iter()
-                .map(|inst| (inst.hierarchy, &*inst.trace))
+                .map(|inst| (inst.hierarchy, &inst.trace))
                 .collect();
-            let results = self.workers.simulate(self.space, &workloads, &fresh);
+            let results = self.workers.simulate(self.space, &workloads, &fresh, true);
             let keys = self
                 .instances
                 .iter()

@@ -16,11 +16,59 @@
 //!
 //! [`fan_out`] is the one place evaluation workers are spawned: the
 //! evaluator's full-fidelity batches, the multi-fidelity prefix rungs and
-//! the explicit-configuration runner all run through it.
+//! the explicit-configuration runner all run through it, each worker on
+//! its own [`ReplayState`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use dmx_alloc::SimArena;
+use dmx_alloc::{AllocatorConfig, BuildError, PoolMemo, SimArena, SimMetrics, Simulator};
+use dmx_memhier::MemoryHierarchy;
+use dmx_trace::CompiledTrace;
+
+/// One evaluation worker's replay state: its [`SimArena`], reused by
+/// every replay, and one [`PoolMemo`] per full-trace workload, created
+/// on first use. It lives as long as its owner (an evaluator or one
+/// `run_configs` call), so nothing carries over between explorations.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayState {
+    pub(crate) arena: SimArena,
+    memos: Vec<Option<PoolMemo>>,
+}
+
+impl ReplayState {
+    /// Replays `config` on full-trace workload number `workload` through
+    /// the arena and that workload's memo. A workload number must name
+    /// the same (`hierarchy`, `trace`) pair on every call.
+    pub(crate) fn run_full(
+        &mut self,
+        workload: usize,
+        hierarchy: &MemoryHierarchy,
+        trace: &Arc<CompiledTrace>,
+        config: &AllocatorConfig,
+    ) -> Result<SimMetrics, BuildError> {
+        if self.memos.len() <= workload {
+            self.memos.resize_with(workload + 1, || None);
+        }
+        let memo = self.memos[workload].get_or_insert_with(|| PoolMemo::new(hierarchy, trace));
+        Simulator::new(hierarchy).run_memo(config, trace, &mut self.arena, memo)
+    }
+
+    /// The memos' (pools served, pools simulated, reruns), summed over
+    /// workloads.
+    pub(crate) fn memo_counts(&self) -> (u64, u64, u64) {
+        self.memos
+            .iter()
+            .flatten()
+            .fold((0, 0, 0), |(served, simulated, reruns), m| {
+                (
+                    served + m.served(),
+                    simulated + m.simulated(),
+                    reruns + m.reruns(),
+                )
+            })
+    }
+}
 
 /// Cache-line padding so per-chunk heads do not false-share.
 #[repr(align(64))]
@@ -90,30 +138,30 @@ impl StealQueue {
 /// Runs `jobs` independent jobs on scoped worker threads and returns
 /// their outputs in job order.
 ///
-/// One worker is spawned per arena, capped at the job count. Workers pop
-/// job indices from a [`StealQueue`] and replay through their own
-/// [`SimArena`], whose slab therefore stays warm across jobs and — since
-/// the caller owns the arenas — across calls.
-pub(crate) fn fan_out<T: Send>(
-    arenas: &mut [SimArena],
+/// One worker is spawned per state, capped at the job count. Workers pop
+/// job indices from a [`StealQueue`] and replay through their own state
+/// (a [`ReplayState`]), whose arena and memos therefore stay warm across
+/// jobs and — since the caller owns the states — across calls.
+pub(crate) fn fan_out<S: Send, T: Send>(
+    states: &mut [S],
     jobs: usize,
-    job: impl Fn(usize, &mut SimArena) -> T + Sync,
+    job: impl Fn(usize, &mut S) -> T + Sync,
 ) -> Vec<T> {
-    let workers = arenas.len().min(jobs);
+    let workers = states.len().min(jobs);
     let queue = StealQueue::new(jobs, workers);
     let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = arenas[..workers]
+        let handles: Vec<_> = states[..workers]
             .iter_mut()
             .enumerate()
-            .map(|(w, arena)| {
+            .map(|(w, state)| {
                 let (queue, job) = (&queue, &job);
                 scope.spawn(move || {
                     let mut done = Vec::new();
                     while let Some(j) = queue.pop(w) {
                         let _span = dmx_obs::span(dmx_obs::names::EVAL_JOB, j as u64);
                         dmx_obs::metrics().eval_jobs.incr();
-                        done.push((j, job(j, arena)));
+                        done.push((j, job(j, state)));
                     }
                     done
                 })

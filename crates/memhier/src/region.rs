@@ -109,11 +109,11 @@ impl RegionTable {
         if level.index() >= self.capacity.len() {
             return Err(RegionError::UnknownLevel(level));
         }
-        let candidates: Vec<usize> = match policy {
-            PlacementPolicy::Strict => vec![level.index()],
-            PlacementPolicy::SpillToSlower => (level.index()..self.capacity.len()).collect(),
+        let last = match policy {
+            PlacementPolicy::Strict => level.index(),
+            PlacementPolicy::SpillToSlower => self.capacity.len() - 1,
         };
-        for idx in candidates {
+        for idx in level.index()..=last {
             if self.capacity[idx] - self.used[idx] >= size {
                 let base = ((idx as u64) << LEVEL_WINDOW_SHIFT) + self.used[idx];
                 self.used[idx] += size;
